@@ -249,18 +249,13 @@ impl SyncQueue {
     /// immutable. Subsequent writes to the same name start a new node.
     /// Returns the packed node's id, if there was one.
     ///
-    /// Packing also coalesces runs of strictly adjacent `Write` ops (each
-    /// starting exactly where the previous one ended) into single ops.
-    /// Sequential writers — editors flushing a buffer, databases appending
-    /// a log — produce long such runs, and every op costs a fixed protocol
-    /// header on the wire, so coalescing at pack time (once, when the node
-    /// can no longer grow) cuts per-node upload overhead without touching
-    /// batching or backindex semantics.
+    /// A packed node's strictly adjacent `Write` ops are coalesced when
+    /// it is released (see [`SyncQueue::pop_ready`]), not here: a node
+    /// superseded by a triggered delta before then is never copied.
     pub fn pack(&mut self, path: &str) -> Option<u64> {
         let id = self.write_index.remove(path)?;
         let pos = self.position(id).expect("indexed node is queued");
-        if let NodeKind::Write { ops, packed, .. } = &mut self.nodes[pos].kind {
-            coalesce_adjacent_writes(ops);
+        if let NodeKind::Write { packed, .. } = &mut self.nodes[pos].kind {
             *packed = true;
         }
         Some(id)
@@ -355,17 +350,6 @@ impl SyncQueue {
         }
     }
 
-    /// Computes transaction groups over the queued nodes.
-    fn groups(&self) -> Vec<(usize, usize)> {
-        let (a, b) = self.nodes.as_slices();
-        if b.is_empty() {
-            group_spans(a)
-        } else {
-            let all: Vec<Node> = self.nodes.iter().cloned().collect();
-            group_spans(&all)
-        }
-    }
-
     fn node_ready(&self, node: &Node, now: SimTime) -> bool {
         node.deleted || now.since(node.last_touched) >= self.delay_ms
     }
@@ -373,8 +357,15 @@ impl SyncQueue {
     /// Releases, from the front, every transaction group whose nodes have
     /// all aged past the upload delay. Stops at the first group that is
     /// not fully ready (strict FIFO between groups).
+    ///
+    /// Every released packed, non-deleted write node has its runs of
+    /// strictly adjacent `Write` ops coalesced into single ops.
+    /// Sequential writers — editors flushing a buffer, databases
+    /// appending a log — produce long such runs, and every op costs a
+    /// fixed protocol header on the wire. The node can no longer grow, so
+    /// this happens exactly once per node that ships.
     pub fn pop_ready(&mut self, now: SimTime) -> Vec<Vec<Node>> {
-        let groups = self.groups();
+        let groups = group_spans(self.nodes.make_contiguous());
         let mut take = 0usize;
         for (start, end) in groups {
             let all_ready = (start..=end).all(|i| self.node_ready(&self.nodes[i], now));
@@ -398,10 +389,13 @@ impl SyncQueue {
         }
         let mut popped: Vec<Node> = Vec::with_capacity(count);
         for _ in 0..count {
-            let node = self.nodes.pop_front().expect("count bounded by len");
-            if let NodeKind::Write { path, .. } = &node.kind {
+            let mut node = self.nodes.pop_front().expect("count bounded by len");
+            if let NodeKind::Write { path, ops, packed } = &mut node.kind {
                 if self.write_index.get(path.as_str()) == Some(&node.id) {
                     self.write_index.remove(path.as_str());
+                }
+                if *packed && !node.deleted {
+                    coalesce_adjacent_writes(ops);
                 }
             }
             popped.push(node);
@@ -421,26 +415,44 @@ impl SyncQueue {
 /// prev.offset + prev.data.len()` — into one op carrying the concatenated
 /// data. Non-write ops and non-adjacent writes break a run; op order is
 /// preserved, and the byte image the sequence produces is unchanged.
+///
+/// Linear: each run's extent is found first, then its bytes are copied
+/// once into a buffer of the run's total length.
 fn coalesce_adjacent_writes(ops: &mut Vec<FileOpItem>) {
     let mut out: Vec<FileOpItem> = Vec::with_capacity(ops.len());
-    for op in ops.drain(..) {
-        if let (
-            Some(FileOpItem::Write {
-                offset: prev_offset,
-                data: prev_data,
-            }),
-            FileOpItem::Write { offset, data },
-        ) = (out.last_mut(), &op)
-        {
-            if *prev_offset + prev_data.len() as u64 == *offset {
-                let mut merged = Vec::with_capacity(prev_data.len() + data.len());
-                merged.extend_from_slice(prev_data);
-                merged.extend_from_slice(data);
-                *prev_data = Payload::from(merged);
-                continue;
+    let mut i = 0;
+    while i < ops.len() {
+        let FileOpItem::Write { offset, data } = &ops[i] else {
+            out.push(ops[i].clone());
+            i += 1;
+            continue;
+        };
+        let mut end = *offset + data.len() as u64;
+        let mut run_len = data.len();
+        let mut j = i + 1;
+        while let Some(FileOpItem::Write { offset: next, data }) = ops.get(j) {
+            if *next != end {
+                break;
             }
+            end += data.len() as u64;
+            run_len += data.len();
+            j += 1;
         }
-        out.push(op);
+        if j == i + 1 {
+            out.push(ops[i].clone());
+        } else {
+            let mut merged = Vec::with_capacity(run_len);
+            for op in &ops[i..j] {
+                if let FileOpItem::Write { data, .. } = op {
+                    merged.extend_from_slice(data);
+                }
+            }
+            out.push(FileOpItem::Write {
+                offset: *offset,
+                data: Payload::from(merged),
+            });
+        }
+        i = j;
     }
     *ops = out;
 }
@@ -524,6 +536,21 @@ mod tests {
         assert!(q.iter().any(|n| n.id == id2));
     }
 
+    /// Releases the queue and returns its only node.
+    fn released_node(q: &mut SyncQueue) -> Node {
+        let mut groups = q.pop_all();
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].len(), 1);
+        groups.pop().unwrap().pop().unwrap()
+    }
+
+    fn write_ops(node: &Node) -> &[FileOpItem] {
+        match &node.kind {
+            NodeKind::Write { ops, .. } => ops,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn pack_coalesces_adjacent_writes() {
         let mut q = SyncQueue::new(3000);
@@ -533,7 +560,7 @@ mod tests {
         push_write(&mut q, "/f", w(4, b"cc"), SimTime(2));
         push_write(&mut q, "/f", w(10, b"dd"), SimTime(3));
         q.pack("/f");
-        let node = q.iter().next().unwrap();
+        let node = released_node(&mut q);
         match &node.kind {
             NodeKind::Write { ops, packed, .. } => {
                 assert!(*packed);
@@ -554,7 +581,7 @@ mod tests {
         q.append_write("/f", FileOpItem::Truncate { size: 2 }, SimTime(1));
         push_write(&mut q, "/f", w(2, b"bb"), SimTime(2));
         q.pack("/f");
-        let node = q.iter().next().unwrap();
+        let node = released_node(&mut q);
         match &node.kind {
             NodeKind::Write { ops, .. } => {
                 assert_eq!(ops.len(), 3, "truncate must break the run");
@@ -572,13 +599,57 @@ mod tests {
         push_write(&mut q, "/f", w(0, b"aaaa"), SimTime(0));
         push_write(&mut q, "/f", w(2, b"bb"), SimTime(1));
         q.pack("/f");
-        let node = q.iter().next().unwrap();
+        let node = released_node(&mut q);
         match &node.kind {
             NodeKind::Write { ops, .. } => {
                 assert_eq!(ops, &vec![w(0, b"aaaa"), w(2, b"bb")]);
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn long_adjacent_run_releases_as_one_op() {
+        let mut q = SyncQueue::new(3000);
+        let mut expected = Vec::new();
+        for i in 0..1024u64 {
+            let chunk: Vec<u8> = (0..7).map(|b| (i * 7 + b) as u8).collect();
+            let op = FileOpItem::Write {
+                offset: i * 7,
+                data: Payload::from(chunk.clone()),
+            };
+            expected.extend_from_slice(&chunk);
+            push_write(&mut q, "/f", op, SimTime(i));
+        }
+        q.pack("/f");
+        let node = released_node(&mut q);
+        assert_eq!(
+            write_ops(&node),
+            &[FileOpItem::Write {
+                offset: 0,
+                data: Payload::from(expected),
+            }]
+        );
+    }
+
+    #[test]
+    fn superseded_packed_node_is_released_uncoalesced() {
+        let mut q = SyncQueue::new(3000);
+        let id = push_write(&mut q, "/f", w(0, b"aa"), SimTime(0));
+        push_write(&mut q, "/f", w(2, b"bb"), SimTime(1));
+        q.pack("/f");
+        let tail = q.push(
+            NodeKind::Create { path: "/g".into() },
+            None,
+            None,
+            SimTime(2),
+        );
+        q.delete_nodes(&[id], tail);
+        let groups = q.pop_all();
+        assert_eq!(groups.len(), 1);
+        let node = &groups[0][0];
+        assert!(node.deleted);
+        assert_eq!(write_ops(node), &[w(0, b"aa"), w(2, b"bb")]);
     }
 
     #[test]

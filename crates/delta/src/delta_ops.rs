@@ -99,20 +99,18 @@ impl Delta {
             .sum()
     }
 
-    /// Total bytes referenced from the old file.
+    /// Total bytes referenced from the old file (saturating: a hostile
+    /// delta's lengths may sum past `u64::MAX`).
     pub fn copy_bytes(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                DeltaOp::Copy { len, .. } => *len,
-                DeltaOp::Literal(_) => 0,
-            })
-            .sum()
+        self.ops.iter().fold(0u64, |acc, op| match op {
+            DeltaOp::Copy { len, .. } => acc.saturating_add(*len),
+            DeltaOp::Literal(_) => acc,
+        })
     }
 
-    /// Length of the file this delta reconstructs.
+    /// Length of the file this delta reconstructs (saturating).
     pub fn output_len(&self) -> u64 {
-        self.literal_bytes() + self.copy_bytes()
+        self.literal_bytes().saturating_add(self.copy_bytes())
     }
 
     /// Size of the delta on the wire: literals plus per-op headers.
@@ -129,27 +127,32 @@ impl Delta {
     /// different base version (the situation DeltaCFS's version control
     /// exists to prevent).
     pub fn apply(&self, old: &[u8]) -> Result<Vec<u8>, ApplyError> {
-        let mut out = Vec::with_capacity(self.output_len() as usize);
+        // Range-check every copy before allocating, so a hostile length
+        // is rejected instead of being reserved.
+        let old_len = old.len() as u64;
+        let mut total: Option<u64> = Some(0);
         for op in &self.ops {
-            match op {
+            let len = match op {
                 DeltaOp::Copy { offset, len } => {
-                    let start = *offset as usize;
-                    let end =
-                        start
-                            .checked_add(*len as usize)
-                            .ok_or(ApplyError::CopyOutOfRange {
-                                offset: *offset,
-                                len: *len,
-                                old_len: old.len() as u64,
-                            })?;
-                    if end > old.len() {
+                    if offset.checked_add(*len).is_none_or(|end| end > old_len) {
                         return Err(ApplyError::CopyOutOfRange {
                             offset: *offset,
                             len: *len,
-                            old_len: old.len() as u64,
+                            old_len,
                         });
                     }
-                    out.extend_from_slice(&old[start..end]);
+                    *len
+                }
+                DeltaOp::Literal(b) => b.len() as u64,
+            };
+            total = total.and_then(|t| t.checked_add(len));
+        }
+        let capacity = total.and_then(|t| usize::try_from(t).ok()).unwrap_or(0);
+        let mut out = Vec::with_capacity(capacity);
+        for op in &self.ops {
+            match op {
+                DeltaOp::Copy { offset, len } => {
+                    out.extend_from_slice(&old[*offset as usize..(*offset + *len) as usize]);
                 }
                 DeltaOp::Literal(b) => out.extend_from_slice(b),
             }
@@ -232,6 +235,49 @@ mod tests {
         let err = delta.apply(b"abcd").unwrap_err();
         assert!(matches!(err, ApplyError::CopyOutOfRange { old_len: 4, .. }));
         assert!(err.to_string().contains("exceeds base file"));
+    }
+
+    #[test]
+    fn huge_copy_is_rejected_before_allocating() {
+        let delta = Delta::from_ops(vec![DeltaOp::Copy {
+            offset: 0,
+            len: 1 << 62,
+        }]);
+        assert_eq!(
+            delta.apply(b"abcd"),
+            Err(ApplyError::CopyOutOfRange {
+                offset: 0,
+                len: 1 << 62,
+                old_len: 4,
+            })
+        );
+    }
+
+    #[test]
+    fn wrapping_copy_range_is_rejected() {
+        let delta = Delta::from_ops(vec![
+            DeltaOp::Copy { offset: 0, len: 2 },
+            DeltaOp::Literal(Bytes::from_static(b"x")),
+            DeltaOp::Copy {
+                offset: u64::MAX,
+                len: 2,
+            },
+        ]);
+        assert!(matches!(
+            delta.apply(b"abcd"),
+            Err(ApplyError::CopyOutOfRange {
+                offset: u64::MAX,
+                ..
+            })
+        ));
+        let huge = Delta::from_ops(vec![
+            DeltaOp::Copy {
+                offset: 0,
+                len: u64::MAX,
+            },
+            DeltaOp::Literal(Bytes::from_static(b"x")),
+        ]);
+        assert_eq!(huge.output_len(), u64::MAX);
     }
 
     #[test]

@@ -479,6 +479,83 @@ proptest! {
     }
 }
 
+// --- Sync-queue write coalescing ----------------------------------------
+
+use deltacfs::core::{NodeKind, SyncQueue};
+use deltacfs::net::SimTime;
+
+/// Builds a write/truncate sequence from `(kind, n, data)` steps, placing
+/// each write relative to where the previous write ended so adjacent,
+/// overlapping, gapped and zero-length writes all occur often.
+fn coalescing_ops(steps: &[(u8, u64, Vec<u8>)]) -> Vec<FileOpItem> {
+    let mut end = 0u64;
+    let mut ops = Vec::with_capacity(steps.len());
+    for (kind, n, data) in steps {
+        let offset = match kind {
+            0 | 1 => end,
+            2 => end.saturating_sub(n % 8 + 1),
+            3 => end + n % 8 + 1,
+            4 => *n,
+            _ => {
+                ops.push(FileOpItem::Truncate { size: *n });
+                continue;
+            }
+        };
+        end = offset + data.len() as u64;
+        ops.push(FileOpItem::Write {
+            offset,
+            data: Payload::from(data.clone()),
+        });
+    }
+    ops
+}
+
+fn replay(base: &[u8], ops: &[FileOpItem]) -> Vec<u8> {
+    let mut content = base.to_vec();
+    for op in ops {
+        op.apply_to(&mut content);
+    }
+    content
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A packed write node releases an equivalent, fully coalesced op
+    /// list: the same bytes on any base, no two consecutive writes left
+    /// mergeable, and never more ops than went in.
+    #[test]
+    fn released_write_node_is_coalesced_equivalently(
+        base in buffer(256),
+        steps in proptest::collection::vec(
+            (0u8..6, 0u64..256, proptest::collection::vec(any::<u8>(), 0..24)),
+            0..40,
+        ),
+    ) {
+        let ops = coalescing_ops(&steps);
+        let mut q = SyncQueue::new(0);
+        q.push(
+            NodeKind::Write { path: "/f".into(), ops: ops.clone(), packed: false },
+            None,
+            None,
+            SimTime(0),
+        );
+        q.pack("/f");
+        let groups = q.pop_all();
+        let out = match &groups[0][0].kind {
+            NodeKind::Write { ops, .. } => ops.clone(),
+            other => panic!("unexpected {other:?}"),
+        };
+        prop_assert_eq!(replay(&base, &out), replay(&base, &ops));
+        prop_assert!(out.len() <= ops.len());
+        for pair in out.windows(2) {
+            if let [FileOpItem::Write { offset: a, data }, FileOpItem::Write { offset: b, .. }] = pair {
+                prop_assert!(a + data.len() as u64 != *b, "mergeable writes left: {pair:?}");
+            }
+        }
+    }
+}
+
 // --- Multi-client convergence ------------------------------------------
 
 proptest! {
