@@ -356,7 +356,7 @@ fn main() {
         "pipeline_depth": cfg.pipeline_depth,
         "min_compressible_mobile_reduction_x": json_num(min_compressible_mobile_reduction),
         "runs": runs,
-        "notes": "all-literal streamed upload per cell; adaptive = WireCodec cost-benefit per chunk; raw frames untagged so incompressible overhead is exactly 0 bytes; e2e is simulated link time incl. modeled compression CPU (Pace::Measured)",
+        "notes": "all-literal streamed upload per cell; adaptive = WireCodec cost-benefit per chunk; raw frames untagged so incompressible overhead is exactly 0 bytes; e2e is simulated link time incl. modeled compression CPU and real encoder elapsed",
     });
     let name = if smoke {
         "BENCH_8.smoke.json"

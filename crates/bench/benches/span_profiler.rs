@@ -276,8 +276,8 @@ fn main() {
             let on = run_upload(content, *link_spec, *profile, true, &cfg);
 
             // Profiling must not change what the sim does — only what it
-            // remembers. (Timings are Pace::Measured and wall-derived,
-            // so the deterministic outputs are the bytes and counts.)
+            // remembers. (Timings are wall-derived, so the
+            // deterministic outputs are the bytes and counts.)
             assert_eq!(on.uplink_bytes, off.uplink_bytes, "{wname}/{pname}: uplink differs");
             assert_eq!(on.frames, off.frames, "{wname}/{pname}: frame count differs");
             assert_eq!(on.outcomes, off.outcomes, "{wname}/{pname}: outcomes differ");
@@ -381,7 +381,7 @@ fn main() {
         "wall_ms_disabled": json_num(wall_off * 1e3),
         "overhead_pct": json_num(overhead_pct),
         "runs": runs,
-        "notes": "adaptive-codec streamed upload per cell (Pace::Measured); attribution = critical-path ms per stage, summing exactly to e2e; server.stage/server.apply are zero-width on the simulated clock; overhead asserted <= 1% in full mode only",
+        "notes": "adaptive-codec streamed upload per cell (measured pipeline); attribution = critical-path ms per stage, summing exactly to e2e; server.stage/server.apply are zero-width on the simulated clock; overhead asserted <= 1% in full mode only",
     });
     let (name, trace_name) = if smoke {
         ("BENCH_9.smoke.json", "BENCH_9.trace.smoke.json")

@@ -8,9 +8,8 @@
 //!   tracks the delta size and the link idles while the encoder works;
 //! * **streamed** — `pipeline::upload_delta_streaming` runs the chunked
 //!   encoder on a second thread and uploads each frame as it lands
-//!   (`Pace::Measured`: real encoder elapsed time is mapped onto the
-//!   simulated clock, so upload of chunk `k` overlaps the encoding of
-//!   chunk `k + 1`).
+//!   (real encoder elapsed time is mapped onto the simulated clock, so
+//!   upload of chunk `k` overlaps the encoding of chunk `k + 1`).
 //!
 //! Recorded into `BENCH_5.json`:
 //!
@@ -221,7 +220,7 @@ fn main() {
         "e2e_materialized_ms": mat_done.as_millis(),
         "e2e_streamed_ms": report.done.as_millis(),
         "link": "mobile (1 MiB/s up, 80 ms latency)",
-        "notes": "same workload both paths; streamed upload asserted byte-identical in accounting and applied content; e2e times are simulated link time with real encoder elapsed mapped in (Pace::Measured)",
+        "notes": "same workload both paths; streamed upload asserted byte-identical in accounting and applied content; e2e times are simulated link time with real encoder elapsed mapped in",
     });
     let name = if smoke {
         "BENCH_5.smoke.json"

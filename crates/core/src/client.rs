@@ -784,8 +784,9 @@ impl<K: KeyValue> DeltaCfsClient<K> {
         }
         if self.obs.spans.enabled() {
             // Encode CPU never advances the simulated clock, so the
-            // span is zero-width at `now`; the streaming bench path
-            // (Pace::Measured) is where encode time becomes visible.
+            // span is zero-width at `now`; the measured pipeline of
+            // `upload_delta_streaming` is where encode time becomes
+            // visible.
             let marks = self.span_marks.entry(path.to_string()).or_default();
             marks.encode = Some((now.as_millis(), now.as_millis()));
             if hstats.engaged() {

@@ -61,22 +61,15 @@ pub struct DeltaCfsConfig {
     ///
     /// [`DeltaParams::min_parallel_bytes`]: deltacfs_delta::DeltaParams
     pub min_parallel_bytes: usize,
-    /// Upload transaction groups as a stream of bounded chunk frames
-    /// (scatter-gather wire framing, encode→upload overlap) instead of
-    /// one materialized buffer per group. Off by default; traffic
-    /// totals, costs, and server state are identical either way.
-    pub streaming: bool,
-    /// Literal-byte budget per streamed chunk frame (see
-    /// [`ChunkSink`](deltacfs_delta::ChunkSink)).
+    /// Literal-byte budget per upload chunk frame (see
+    /// [`frame_group`](crate::pipeline::frame_group)): it bounds how much
+    /// of a group one frame carries, never what the group costs on the
+    /// wire.
     pub chunk_budget: usize,
-    /// Depth of the bounded encoder→uploader channel; together with
-    /// [`chunk_budget`](DeltaCfsConfig::chunk_budget) it caps the bytes
-    /// in flight between the delta encoder and the wire.
-    pub pipeline_depth: usize,
-    /// Run streamed chunk frames through the adaptive wire codec: a
-    /// cost-benefit controller compresses a frame when the link's
-    /// byte savings beat the platform's compression CPU, and ships it
-    /// raw otherwise (never worse than raw — an incompressible frame
+    /// Run upload and forward chunk frames through the adaptive wire
+    /// codec: a cost-benefit controller compresses a frame when the
+    /// link's byte savings beat the platform's compression CPU, and
+    /// ships it raw otherwise (never worse than raw — an incompressible frame
     /// crosses the wire byte-identical to a codec-less run). Off by
     /// default; applied content, costs, and outcomes are identical
     /// either way, only traffic and timing improve.
@@ -114,9 +107,7 @@ impl DeltaCfsConfig {
             causal_mode: CausalMode::Backindex,
             parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             min_parallel_bytes: deltacfs_delta::DeltaParams::DEFAULT_MIN_PARALLEL_BYTES,
-            streaming: false,
             chunk_budget: 256 * 1024,
-            pipeline_depth: 4,
             wire_compression: false,
             hierarchy: true,
             hierarchy_levels: 2,
@@ -194,13 +185,7 @@ impl DeltaCfsConfig {
         self
     }
 
-    /// Enables the streaming upload pipeline.
-    pub fn with_streaming(mut self, on: bool) -> Self {
-        self.streaming = on;
-        self
-    }
-
-    /// Sets the per-chunk literal budget for streamed uploads.
+    /// Sets the per-frame literal budget for uploads.
     ///
     /// # Panics
     ///
@@ -211,18 +196,7 @@ impl DeltaCfsConfig {
         self
     }
 
-    /// Sets the bounded encoder→uploader channel depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        assert!(depth > 0, "pipeline depth must be positive");
-        self.pipeline_depth = depth;
-        self
-    }
-
-    /// Enables the adaptive wire codec on streamed chunk frames.
+    /// Enables the adaptive wire codec on upload and forward frames.
     pub fn with_wire_compression(mut self, on: bool) -> Self {
         self.wire_compression = on;
         self
@@ -310,9 +284,7 @@ mod tests {
         assert!(c.checksums);
         assert!(!c.without_checksums().checksums);
         assert!(c.parallelism >= 1, "defaults to available cores, >= 1");
-        assert!(!c.streaming, "streaming is opt-in");
         assert_eq!(c.chunk_budget, 256 * 1024);
-        assert_eq!(c.pipeline_depth, 4);
         assert_eq!(c.min_parallel_bytes, 8 << 20);
         assert!(!c.wire_compression, "the wire codec is opt-in");
         assert!(c.with_wire_compression(true).wire_compression);
@@ -341,15 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_builders() {
+    fn chunk_budget_builders() {
         let c = DeltaCfsConfig::new()
-            .with_streaming(true)
             .with_chunk_budget(4096)
-            .with_pipeline_depth(2)
             .with_min_parallel_bytes(0);
-        assert!(c.streaming);
         assert_eq!(c.chunk_budget, 4096);
-        assert_eq!(c.pipeline_depth, 2);
         assert_eq!(c.min_parallel_bytes, 0);
     }
 

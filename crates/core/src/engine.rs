@@ -8,14 +8,14 @@
 
 use deltacfs_delta::Cost;
 use deltacfs_kvstore::KeyValue;
-use deltacfs_net::{Link, LinkSpec, PlatformProfile, SimClock, SimTime, TrafficStats};
+use deltacfs_net::{Link, LinkSpec, PlatformProfile, SimClock, TrafficStats};
 use deltacfs_vfs::{OpEvent, Vfs};
 
 use crate::client::DeltaCfsClient;
 use crate::codec::{CodecPolicy, WireCodec};
 use crate::config::DeltaCfsConfig;
 use crate::pipeline;
-use crate::protocol::{ApplyOutcome, ClientId, UpdateMsg, ACK_WIRE_BYTES};
+use crate::protocol::{ApplyOutcome, ClientId, ACK_WIRE_BYTES};
 use crate::server::CloudServer;
 
 /// Summary of an engine's resource usage after a run.
@@ -162,7 +162,10 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
         &self.outcomes
     }
 
-    /// Uploads every ready transaction group to the cloud.
+    /// Uploads every ready transaction group to the cloud: each ships
+    /// through [`pipeline::upload_group`] into the server's chunk stage,
+    /// which commits it atomically on the final frame; the server then
+    /// acknowledges.
     fn upload_ready(&mut self, fs: &Vfs, flush: bool) {
         let groups = if flush {
             self.client.flush(fs)
@@ -170,135 +173,27 @@ impl<K: KeyValue> DeltaCfsSystem<K> {
             self.client.tick(fs)
         };
         let now = self.clock.now();
-        let cfg = *self.client.config();
-        for group in groups {
-            if cfg.streaming && group.iter().all(|m| m.group.is_some()) {
-                self.upload_group_streaming(&group, &cfg, now);
-            } else {
-                let wire: u64 = group.iter().map(|m| m.wire_size()).sum();
-                let busy_before = self.link.upload_busy_until();
-                let arrival = self.link.upload(wire, now);
-                if self.obs.spans.enabled() {
-                    if let Some(gid) = group.first().and_then(|m| m.group) {
-                        let key = gid.span_key();
-                        self.obs.spans.record(
-                            key,
-                            "link",
-                            "wire.upload",
-                            now.max(busy_before).as_millis(),
-                            arrival.as_millis(),
-                            None,
-                            || format!("{wire} wire bytes (materialized)"),
-                        );
-                        let a = arrival.as_millis();
-                        self.obs.spans.record(key, "server", "server.apply", a, a, None, || {
-                            format!("{} msg(s)", group.len())
-                        });
-                    }
-                }
-                let outcomes = self.server.apply_txn(&group);
-                self.outcomes.extend(outcomes);
-                // Acknowledgement.
-                self.link.download(ACK_WIRE_BYTES, now);
-            }
-        }
-    }
-
-    /// Streams one group as bounded chunk frames: an encoder thread
-    /// frames messages (scatter-gather, shared payloads) into the
-    /// pipeline's bounded channel while this thread uploads each frame
-    /// and feeds the server's chunk stage; the server commits the group
-    /// atomically on the final frame. Traffic totals match the
-    /// materialized path exactly — the frames' accounted bytes sum to
-    /// `Σ wire_size()` and the message latency is charged once per
-    /// group, as `Link::upload` would.
-    fn upload_group_streaming(&mut self, group: &[UpdateMsg], cfg: &DeltaCfsConfig, now: SimTime) {
-        let link = &mut self.link;
+        let budget = self.client.config().chunk_budget;
         let server = &mut self.server;
-        let outcomes = &mut self.outcomes;
-        let codec = &mut self.wire_codec;
-        let at_ms = now.as_millis();
-        let spans = self.obs.spans.clone();
-        let span_on = spans.enabled();
-        let gkey = group.iter().find_map(|m| m.group).map(|g| g.span_key());
-        let mut stage_first_ms: Option<u64> = None;
-        pipeline::run_pipeline(
-            pipeline::PipelineConfig {
-                chunk_budget: cfg.chunk_budget,
-                pipeline_depth: cfg.pipeline_depth,
-            },
-            pipeline::Pace::Immediate,
-            now,
-            &self.obs,
-            |sender| {
-                pipeline::frame_group(group, cfg.chunk_budget, |frame| {
-                    sender.send(codec.encode_frame(frame, at_ms));
-                });
-            },
-            |frame, ready| {
-                let busy_before = link.upload_busy_until();
-                let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), ready);
-                if span_on {
-                    if let Some(key) = gkey {
-                        spans.record(
-                            key,
-                            "link",
-                            "wire.upload",
-                            ready.max(busy_before).as_millis(),
-                            done.as_millis(),
-                            None,
-                            || {
-                                format!(
-                                    "msg {} chunk {}: {} wire bytes",
-                                    frame.msg_idx, frame.chunk_idx, frame.accounted
-                                )
-                            },
-                        );
-                        if stage_first_ms.is_none() {
-                            stage_first_ms = Some(done.as_millis());
-                        }
-                    }
-                }
-                if let Some(out) = server
-                    .receive_chunk(&frame)
-                    .expect("in-process chunk stream cannot be malformed")
-                {
-                    if span_on {
-                        if let Some(key) = gkey {
-                            let d = done.as_millis();
-                            spans.record(key, "server", "server.stage", d, d, None, || {
-                                format!(
-                                    "committed after a {}ms staging window",
-                                    d - stage_first_ms.unwrap_or(d)
-                                )
-                            });
-                            spans.record(key, "server", "server.apply", d, d, None, || {
-                                format!("{} outcome(s)", out.len())
-                            });
-                        }
-                    }
-                    outcomes.extend(out);
-                }
-                done
-            },
-        );
-        let busy_before_end = link.upload_busy_until();
-        let end_done = link.upload_end_msg(now);
-        if span_on {
-            if let Some(key) = gkey {
-                spans.record(
-                    key,
-                    "link",
-                    "wire.upload",
-                    now.max(busy_before_end).as_millis(),
-                    end_done.as_millis(),
-                    None,
-                    || "end-of-message latency".into(),
-                );
-            }
+        for group in groups {
+            let (_, outcomes) = pipeline::upload_group(
+                &group,
+                budget,
+                &mut self.wire_codec,
+                &mut self.link,
+                now,
+                &self.obs,
+                Some(|frame: &pipeline::ChunkFrame| {
+                    server
+                        .receive_chunk(frame)
+                        .expect("in-process chunk stream cannot be malformed")
+                }),
+            );
+            self.outcomes
+                .extend(outcomes.expect("a delivered group commits on its final frame"));
+            // Acknowledgement.
+            self.link.download(ACK_WIRE_BYTES, now);
         }
-        // Acknowledgement.
-        link.download(ACK_WIRE_BYTES, now);
     }
 }
 
@@ -398,55 +293,106 @@ mod tests {
         assert!(file1.is_some());
     }
 
+    /// Two saves of one file (a fresh create, then an in-place rewrite
+    /// large enough for the local delta path) plus a small file renamed
+    /// in the second round. Returns the system and, from a twin client
+    /// fed the same events, `Σ wire_size()` of every group it shipped.
+    fn two_round_run(cfg: DeltaCfsConfig, link: LinkSpec) -> (DeltaCfsSystem, u64) {
+        let clock = SimClock::new();
+        let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), link);
+        let mut twin = DeltaCfsClient::new(ClientId(1), cfg, clock.clone());
+        let mut wire = 0u64;
+        let mut fs = Vfs::new();
+        fs.enable_event_log();
+        let mut round = |fs: &mut Vfs, sys: &mut DeltaCfsSystem, last: bool| {
+            for e in fs.drain_events() {
+                sys.on_event(&e, fs);
+                twin.handle_event(&e, fs);
+            }
+            let fs = &*fs;
+            clock.advance(4000);
+            let groups = if last {
+                sys.finish(fs);
+                twin.flush(fs)
+            } else {
+                sys.tick(fs);
+                twin.tick(fs)
+            };
+            wire += groups.iter().flatten().map(|m| m.wire_size()).sum::<u64>();
+        };
+        let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog. "
+            .iter()
+            .copied()
+            .cycle()
+            .take(30_000)
+            .collect();
+        fs.create("/f").unwrap();
+        fs.write("/f", 0, &text).unwrap();
+        fs.create("/small").unwrap();
+        fs.write("/small", 0, b"tiny file").unwrap();
+        round(&mut fs, &mut sys, false);
+        fs.write("/f", 200, &vec![0x5A; 16_000]).unwrap();
+        fs.rename("/small", "/renamed").unwrap();
+        round(&mut fs, &mut sys, true);
+        (sys, wire)
+    }
+
     #[test]
-    fn streaming_upload_matches_materialized_traffic_and_state() {
-        // The streaming pipeline is an implementation detail of the
-        // upload: same traffic totals, same costs, same cloud state.
-        let run = |streaming: bool| {
-            let clock = SimClock::new();
-            let cfg = DeltaCfsConfig::new()
-                .with_streaming(streaming)
-                .with_chunk_budget(512)
-                .with_pipeline_depth(2);
-            let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::pc());
-            let mut fs = Vfs::new();
-            fs.enable_event_log();
-            fs.create("/f").unwrap();
-            let base: Vec<u8> = (0..30_000u32)
-                .map(|i| (i.wrapping_mul(17) % 250) as u8)
-                .collect();
-            fs.write("/f", 0, &base).unwrap();
-            fs.create("/small").unwrap();
-            fs.write("/small", 0, b"tiny file").unwrap();
-            for e in fs.drain_events() {
-                sys.on_event(&e, &fs);
+    fn chunk_budget_changes_nothing_but_framing() {
+        // One upload path: the budget only decides how finely a group is
+        // framed. Traffic, cost, outcomes and cloud state are the same
+        // for a 512-byte budget, the default, and an unbounded one, and
+        // the uplink carries exactly the groups' wire size.
+        let run = |budget: Option<usize>| {
+            let mut cfg = DeltaCfsConfig::new();
+            if let Some(b) = budget {
+                cfg = cfg.with_chunk_budget(b);
             }
-            clock.advance(4000);
-            sys.tick(&fs);
-            // An in-place rewrite large enough to go through the local
-            // delta path, so the streamed group carries a Delta payload.
-            let edit = vec![0x5A; 16_000];
-            fs.write("/f", 200, &edit).unwrap();
-            fs.rename("/small", "/renamed").unwrap();
-            for e in fs.drain_events() {
-                sys.on_event(&e, &fs);
-            }
-            clock.advance(4000);
-            sys.finish(&fs);
+            let (sys, wire) = two_round_run(cfg, LinkSpec::pc());
             let r = sys.report();
+            assert_eq!(
+                r.traffic.bytes_up, wire,
+                "budget {budget:?}: uplink beyond Σ wire_size"
+            );
             (
                 r.traffic,
                 r.client_cost,
+                sys.outcomes().to_vec(),
                 sys.server().file("/f").map(<[u8]>::to_vec),
                 sys.server().file("/renamed").map(<[u8]>::to_vec),
-                sys.outcomes().to_vec(),
             )
         };
-        let materialized = run(false);
-        let streamed = run(true);
-        assert_eq!(streamed, materialized);
-        assert!(streamed.2.is_some());
-        assert_eq!(streamed.3.as_deref(), Some(&b"tiny file"[..]));
+        let default = run(None);
+        assert_eq!(run(Some(512)), default);
+        assert_eq!(run(Some(usize::MAX)), default);
+        assert!(default.3.is_some());
+        assert_eq!(default.4.as_deref(), Some(&b"tiny file"[..]));
+    }
+
+    #[test]
+    fn wire_compression_shrinks_the_default_upload() {
+        // The codec sits on the one upload path, so turning it on must
+        // shrink a compressible upload at the default budget while
+        // leaving cloud state and outcomes untouched.
+        let run = |on: bool| {
+            let cfg = DeltaCfsConfig::new().with_wire_compression(on);
+            let (sys, _) = two_round_run(cfg, LinkSpec::mobile());
+            (
+                sys.report().traffic.bytes_up,
+                sys.outcomes().to_vec(),
+                sys.server().file("/f").map(<[u8]>::to_vec),
+                sys.server().file("/renamed").map(<[u8]>::to_vec),
+            )
+        };
+        let (raw_up, raw_outcomes, raw_f, raw_renamed) = run(false);
+        let (codec_up, outcomes, f, renamed) = run(true);
+        assert!(
+            codec_up < raw_up,
+            "compressed uplink {codec_up} not below raw {raw_up}"
+        );
+        assert_eq!(outcomes, raw_outcomes);
+        assert_eq!(f, raw_f);
+        assert_eq!(renamed, raw_renamed);
     }
 
     #[test]

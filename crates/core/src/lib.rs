@@ -56,7 +56,6 @@ mod client;
 pub mod codec;
 mod config;
 mod engine;
-mod event_buffer;
 mod inline;
 mod multi;
 pub mod persist;
@@ -76,7 +75,6 @@ pub use client::{DeltaCfsClient, IntegrityIssue, IssueKind, RemoteConflict};
 pub use codec::{CodecPolicy, WireCodec};
 pub use config::{CausalMode, DeltaCfsConfig, HubConfig};
 pub use engine::{DeltaCfsSystem, EngineReport, SyncEngine};
-pub use event_buffer::{BufferObserver, EventBuffer};
 pub use inline::{InlineInterceptor, InlineMode};
 pub use multi::SyncHub;
 pub use protocol::{

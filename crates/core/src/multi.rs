@@ -30,7 +30,7 @@ use deltacfs_vfs::Vfs;
 use crate::client::{DeltaCfsClient, RemoteConflict};
 use crate::codec::{CodecPolicy, WireCodec};
 use crate::config::{DeltaCfsConfig, HubConfig};
-use crate::pipeline::{frame_group, ChunkStager};
+use crate::pipeline::{frame_group, upload_group, ChunkFrame, ChunkStager};
 use crate::protocol::{
     ApplyOutcome, ClientId, GroupId, Payload, UpdateMsg, UpdatePayload, Version, ACK_WIRE_BYTES,
 };
@@ -38,6 +38,8 @@ use crate::retry::{Courier, RetryPolicy, BACKOFF_BUCKETS_MS};
 use crate::shard::ShardedServer;
 
 struct Slot {
+    /// The slot's index in the hub (its client is `ClientId(idx + 1)`).
+    idx: usize,
     client: DeltaCfsClient,
     fs: Vfs,
     link: Link,
@@ -48,6 +50,13 @@ struct Slot {
     /// The server shard the namespace hashes to — the client's pump lane
     /// and queue-depth gauge bucket.
     home_shard: usize,
+    /// Server-side staging for this client's chunk-streamed uploads —
+    /// the mirror of `forward`. Uploads are synchronous, so a stage
+    /// never outlives the attempt that opened it.
+    upload: ChunkStager,
+    /// Adaptive wire codec for the upload direction; policy follows the
+    /// client's `wire_compression` knob.
+    upload_codec: WireCodec,
     /// Client-side staging for chunk-streamed forwards and recovery
     /// downloads — the mirror of the server's upload stage. A group
     /// whose stream was cut sits here, uncommitted, until a resend
@@ -71,6 +80,15 @@ struct Slot {
     /// byte savings beat the hub's compression CPU. Policy follows the
     /// client's `wire_compression` knob.
     forward_codec: WireCodec,
+}
+
+impl Slot {
+    /// Feeds the client's pending file-system events into its engine.
+    fn ingest(&mut self) {
+        for e in &self.fs.drain_events() {
+            self.client.handle_event(e, &self.fs);
+        }
+    }
 }
 
 /// A cloud server with any number of attached DeltaCFS clients, all
@@ -109,12 +127,15 @@ pub struct SyncHub {
     root_subscribers: Vec<usize>,
     /// `Some` once [`SyncHub::enable_faults`] (one shared schedule) or
     /// [`SyncHub::enable_fault_topology`] (independent per-writer
-    /// schedules) arms fault injection; the pump then runs through the
-    /// reliability layer (couriers + server idempotency + crash/restart
-    /// from the snapshot store).
+    /// schedules) arms fault injection. Every pump drives the same
+    /// couriers either way; armed, they draw from these plans instead
+    /// of an empty one, and the hub snapshots every applied group so a
+    /// crash can restart from the snapshot store.
     fault: Option<FaultTopology>,
     /// One durable snapshot store per shard, refreshed for the involved
-    /// shards after every applied group; a simulated server crash
+    /// shards after every delivered group while faults are armed (it
+    /// snapshots whole shards, so unarmed runs skip it); a simulated
+    /// server crash
     /// reloads every shard from here. A shard never writes another
     /// shard's store.
     stores: Vec<MemStore>,
@@ -192,6 +213,7 @@ impl SyncHub {
         for slot in &mut self.slots {
             slot.client.set_obs(self.obs.clone());
             slot.courier.set_backoff_histogram(hist.clone());
+            slot.upload_codec.attach_obs(&self.obs);
             slot.forward_codec.attach_obs(&self.obs);
         }
     }
@@ -251,21 +273,28 @@ impl SyncHub {
         } else {
             CodecPolicy::Never
         };
+        let mut upload_codec =
+            WireCodec::for_upload(policy.clone(), PlatformProfile::pc(), link_spec);
+        upload_codec.attach_obs(&self.obs);
         let mut forward_codec = WireCodec::for_forward(policy, link_spec);
         forward_codec.attach_obs(&self.obs);
         let mut link = Link::new(link_spec);
         if cfg.wire_compression {
-            // The hub compresses forwards, so its (pc-class) CPU rate is
-            // what the downlink timing charges.
+            // Both ends compress on a pc-class CPU (the hub's clients
+            // default to the pc platform), so that rate is what the
+            // link charges codec-tagged parts in either direction.
             link.set_compute(PlatformProfile::pc());
         }
         self.slots.push(Slot {
+            idx,
             client,
             fs,
             link,
             courier,
             namespace: namespace.to_string(),
             home_shard,
+            upload: ChunkStager::new(),
+            upload_codec,
             forward: ChunkStager::new(),
             forward_seen: HashSet::new(),
             forward_chunks: 0,
@@ -276,10 +305,10 @@ impl SyncHub {
         idx
     }
 
-    /// Arms a fault schedule: from now on every upload runs through the
-    /// reliability layer — stop-and-wait couriers with seeded backoff,
-    /// server-side `<CliID, VerCnt>` deduplication, and crash/restart
-    /// from the persisted snapshot.
+    /// Arms a fault schedule: from now on every upload attempt the
+    /// stop-and-wait couriers make draws its fate from `spec` (drops,
+    /// duplicates, lost acks, disconnects, and server crashes that
+    /// restart from the persisted snapshot) instead of the empty plan.
     ///
     /// Each courier's jitter stream is re-seeded from `spec.seed`, so
     /// one seed reproduces the entire run.
@@ -472,7 +501,6 @@ impl SyncHub {
         deliver_group_streaming(
             &self.obs,
             now,
-            idx,
             &mut self.slots[idx],
             gid,
             &msgs,
@@ -535,10 +563,9 @@ impl SyncHub {
         // Move the slots into per-home-shard lanes (index order is
         // preserved within a lane). A namespace's clients all share one
         // home shard, so forwarding never crosses a lane.
-        let taken = std::mem::take(&mut self.slots);
-        let mut lanes: Vec<Vec<(usize, Slot)>> = (0..shard_count).map(|_| Vec::new()).collect();
-        for (idx, slot) in taken.into_iter().enumerate() {
-            lanes[slot.home_shard].push((idx, slot));
+        let mut lanes: Vec<Vec<Slot>> = (0..shard_count).map(|_| Vec::new()).collect();
+        for slot in std::mem::take(&mut self.slots) {
+            lanes[slot.home_shard].push(slot);
         }
         let hist = self.cfg.latency_histogram.then(|| self.latency_histogram());
         let threads = std::thread::available_parallelism()
@@ -546,7 +573,8 @@ impl SyncHub {
             .min(shard_count);
         let server = &self.server;
         let obs = &self.obs;
-        let mut outputs: Vec<LaneOutput> = (0..lanes.len()).map(|_| LaneOutput::default()).collect();
+        let mut outputs: Vec<TurnOutput> =
+            (0..lanes.len()).map(|_| TurnOutput::default()).collect();
         if threads <= 1 {
             for (lane, out) in lanes.iter_mut().zip(outputs.iter_mut()) {
                 *out = run_lane(server, obs, now, lane, flush, hist.as_ref());
@@ -567,21 +595,12 @@ impl SyncHub {
             });
         }
         // Reassemble the slot vector in original index order.
-        let total: usize = lanes.iter().map(Vec::len).sum();
-        let mut rebuilt: Vec<Option<Slot>> = (0..total).map(|_| None).collect();
-        for lane in lanes {
-            for (idx, slot) in lane {
-                rebuilt[idx] = Some(slot);
-            }
-        }
-        self.slots = rebuilt
-            .into_iter()
-            .map(|s| s.expect("every lane returns its slots"))
-            .collect();
+        let mut slots: Vec<Slot> = lanes.into_iter().flatten().collect();
+        slots.sort_unstable_by_key(|s| s.idx);
+        self.slots = slots;
         // Merge lane outputs deterministically, by lane order.
         for out in outputs {
-            self.server_outcomes.extend(out.outcomes);
-            self.conflicts.extend(out.conflicts);
+            self.merge(out);
         }
     }
 
@@ -599,83 +618,29 @@ impl SyncHub {
     /// are indistinguishable from out-of-band corruption and quarantine
     /// the file.
     pub fn ingest(&mut self, idx: usize) {
-        let events = self.slots[idx].fs.drain_events();
-        for e in &events {
-            let slot = &mut self.slots[idx];
-            slot.client.handle_event(e, &slot.fs);
-        }
+        self.slots[idx].ingest();
     }
 
     fn pump_inner(&mut self, flush: bool) {
-        let now = self.clock.now();
-        for idx in 0..self.slots.len() {
-            // 1. Feed pending fs events into the engine.
-            self.ingest(idx);
-            // 2. Upload ready groups.
-            let slot = &mut self.slots[idx];
-            let groups = if flush {
-                slot.client.flush(&slot.fs)
-            } else {
-                slot.client.tick(&slot.fs)
-            };
-            if self.fault.is_some() {
-                for group in groups {
-                    self.slots[idx].courier.enqueue(group);
-                }
-                self.drive_courier(idx, now);
-            } else {
-                for group in groups {
-                    let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-                    self.obs
-                        .tracer
-                        .event(now.as_millis(), &actor_name(idx), "wire.upload", || {
-                            format!("group of {} msgs, {wire} wire bytes", group.len())
-                        });
-                    let busy_before = self.slots[idx].link.upload_busy_until();
-                    let arrival = self.slots[idx].link.upload(wire, now);
-                    let gkey = group
-                        .iter()
-                        .find_map(|m| m.group)
-                        .filter(|_| self.obs.spans.enabled())
-                        .map(|g| g.span_key());
-                    if let Some(key) = gkey {
-                        self.obs.spans.record(
-                            key,
-                            "link",
-                            "wire.upload",
-                            now.max(busy_before).as_millis(),
-                            arrival.as_millis(),
-                            None,
-                            || format!("group of {} msgs, {wire} wire bytes", group.len()),
-                        );
-                    }
-                    let outcomes = self.timed_apply(&group);
-                    let all_applied = outcomes.iter().all(|o| *o == ApplyOutcome::Applied);
-                    self.obs
-                        .tracer
-                        .event(now.as_millis(), "server", "server.apply", || {
-                            format!(
-                                "group from {}: {} msgs, all_applied={all_applied}",
-                                actor_name(idx),
-                                group.len()
-                            )
-                        });
-                    if let Some(key) = gkey {
-                        // Zero-width on the simulated clock: apply CPU is
-                        // accounted in cost counters, not link time.
-                        let at = arrival.as_millis();
-                        self.obs.spans.record(key, "server", "server.apply", at, at, None, || {
-                            format!("{} outcome(s), all_applied={all_applied}", outcomes.len())
-                        });
-                    }
-                    self.server_outcomes.extend(outcomes);
-                    self.slots[idx].link.download(ACK_WIRE_BYTES, now);
-                    if all_applied {
-                        self.forward(idx, &group, now, &mut None);
-                    }
-                }
-            }
+        let hist = self.cfg.latency_histogram.then(|| self.latency_histogram());
+        let armed = self.fault.is_some();
+        let mut clean = FaultTopology::shared(FaultSpec::clean(0));
+        let mut turn = Turn {
+            server: &self.server,
+            obs: &self.obs,
+            now: self.clock.now(),
+            hist: hist.as_ref(),
+            topo: self.fault.as_mut().unwrap_or(&mut clean),
+            stores: armed.then_some(&mut self.stores[..]),
+            subscribers: &self.subscribers,
+            roots: &self.root_subscribers,
+            out: TurnOutput::default(),
+        };
+        for pos in 0..self.slots.len() {
+            pump_slot(&mut turn, &mut self.slots, pos, flush);
         }
+        let (now, out) = (turn.now, turn.out);
+        self.merge(out);
         // Late (reordered) duplicate copies arrive now, after *every*
         // courier ran this round — a deterministic, FIFO redelivery
         // window that can straddle writers. The `<CliID, GroupSeq>`
@@ -694,6 +659,14 @@ impl SyncHub {
         }
     }
 
+    /// Folds one pump turn's output into the hub's records.
+    fn merge(&mut self, out: TurnOutput) {
+        self.server_outcomes.extend(out.outcomes);
+        self.conflicts.extend(out.conflicts);
+        self.acked.extend(out.acked);
+        self.deferred.extend(out.deferred);
+    }
+
     /// The opt-in wall-clock apply-latency histogram (µs).
     fn latency_histogram(&self) -> Histogram {
         self.obs.registry.histogram(
@@ -701,268 +674,6 @@ impl SyncHub {
             APPLY_LATENCY_HELP,
             &APPLY_LATENCY_BUCKETS_US,
         )
-    }
-
-    /// Applies a group, recording wall-clock latency when the
-    /// [`HubConfig::latency_histogram`] knob is on.
-    fn timed_apply(&self, group: &[UpdateMsg]) -> Vec<ApplyOutcome> {
-        if self.cfg.latency_histogram {
-            let hist = self.latency_histogram();
-            let t0 = Instant::now();
-            let outcomes = self.server.apply_txn(group);
-            hist.observe(t0.elapsed().as_micros() as u64);
-            outcomes
-        } else {
-            self.server.apply_txn(group)
-        }
-    }
-
-    /// Runs client `idx`'s courier until its queue drains or backoff /
-    /// disconnection parks it: each attempt goes through the client's
-    /// fault plan, and only a surviving acknowledgement advances the
-    /// queue.
-    fn drive_courier(&mut self, idx: usize, now: SimTime) {
-        let mut topo = self.fault.take().expect("fault mode is armed");
-        while self.slots[idx].courier.ready(now) {
-            let Some(flight) = self.slots[idx].courier.take_attempt(now) else {
-                break;
-            };
-            let attempt = flight.attempts;
-            let group = flight.group.clone();
-            let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-            let actor = actor_name(idx);
-            let now_ms = now.as_millis();
-            self.obs.tracer.event(now_ms, &actor, "wire.upload", || {
-                format!(
-                    "group of {} msgs, {wire} wire bytes, attempt {attempt}",
-                    group.len()
-                )
-            });
-            let gkey = group
-                .iter()
-                .find_map(|m| m.group)
-                .filter(|_| self.obs.spans.enabled())
-                .map(|g| g.span_key());
-            let busy_before = self.slots[idx].link.upload_busy_until();
-            let (done, verdict) =
-                self.slots[idx]
-                    .link
-                    .upload_faulty(wire, now, idx, topo.plan_for(idx));
-            // One span per attempt. An attempt the fault plan kills
-            // (dropped on the wire, or a disconnected client) leaves its
-            // span open on purpose: the profile shows in-flight work
-            // that never completed.
-            let attempt_span = gkey.map(|key| {
-                self.obs.spans.start(
-                    key,
-                    "link",
-                    "wire.upload",
-                    now.max(busy_before).as_millis(),
-                    None,
-                )
-            });
-            let done_ms = done.map(|d| d.as_millis()).unwrap_or(now_ms);
-            match verdict {
-                UploadVerdict::Disconnected => {
-                    // The reconnection time is known: park until then.
-                    let until = topo
-                        .plan_for(idx)
-                        .disconnect_until(idx, now)
-                        .unwrap_or(now.plus_millis(1));
-                    self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
-                        format!("disconnected; courier parked until {}ms", until.as_millis())
-                    });
-                    self.slots[idx].courier.defer_until(until);
-                    break;
-                }
-                UploadVerdict::Dropped => {
-                    self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
-                        "upload dropped on the wire".to_string()
-                    });
-                    let delay = self.slots[idx].courier.on_failure(now);
-                    self.trace_backoff(idx, now_ms, delay);
-                }
-                UploadVerdict::CrashBeforeApply => {
-                    // The group dies with the server's volatile state; the
-                    // restarted server comes back from the per-shard
-                    // snapshots and the client retries into it.
-                    self.obs.tracer.event(now_ms, "server", "fault.inject", || {
-                        "server crash before apply; restored from snapshot".to_string()
-                    });
-                    if let Some(span) = attempt_span {
-                        // The bytes did arrive — the wire span closes; the
-                        // missing server.apply is what marks the loss.
-                        self.obs.spans.end_detail(span, done_ms, || {
-                            format!("attempt {attempt} arrived; server crashed before apply")
-                        });
-                    }
-                    self.server
-                        .reload_all(&mut self.stores)
-                        .expect("snapshot loads");
-                    let delay = self.slots[idx].courier.on_failure(now);
-                    self.trace_backoff(idx, now_ms, delay);
-                }
-                UploadVerdict::Delivered {
-                    duplicate,
-                    crash_after_apply,
-                } => {
-                    let (outcomes, was_dup) = self.server.apply_txn_idempotent(&group);
-                    let stage = if was_dup { "server.dedup" } else { "server.apply" };
-                    self.obs.tracer.event(now_ms, "server", stage, || {
-                        if was_dup {
-                            format!("replay of group from {actor} absorbed ({} msgs)", group.len())
-                        } else {
-                            format!("group from {actor} applied ({} msgs)", group.len())
-                        }
-                    });
-                    if let Some(span) = attempt_span {
-                        self.obs.spans.end_detail(span, done_ms, || {
-                            format!("attempt {attempt}: {wire} wire bytes delivered")
-                        });
-                    }
-                    if !was_dup {
-                        if let Some(key) = gkey {
-                            // Zero-width: apply CPU lives in cost counters.
-                            self.obs.spans.record(
-                                key,
-                                "server",
-                                "server.apply",
-                                done_ms,
-                                done_ms,
-                                None,
-                                || format!("{} outcome(s) after {attempt} attempt(s)", outcomes.len()),
-                            );
-                        }
-                    }
-                    self.server
-                        .save_group(&group, &mut self.stores)
-                        .expect("MemStore save");
-                    if duplicate {
-                        // Every duplicated copy — versioned or namespace-
-                        // only — may be held back and redelivered after
-                        // newer groups: the `<CliID, GroupSeq>` replay
-                        // index recognizes it whenever it shows up.
-                        let deferred = topo.plan_for(idx).defer_duplicate();
-                        self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
-                            if deferred {
-                                "upload duplicated; copy held for late redelivery".to_string()
-                            } else {
-                                "upload duplicated; copy redelivered immediately".to_string()
-                            }
-                        });
-                        if deferred {
-                            self.deferred.push(group.clone());
-                        } else {
-                            self.server.apply_txn_idempotent(&group);
-                        }
-                    }
-                    if crash_after_apply {
-                        // Applied and persisted, but the ack died with the
-                        // server: the retry must hit the rebuilt
-                        // idempotency index of the restarted server.
-                        self.obs.tracer.event(now_ms, "server", "fault.inject", || {
-                            "server crash after apply; ack lost with it".to_string()
-                        });
-                        self.server
-                            .reload_all(&mut self.stores)
-                            .expect("snapshot loads");
-                        let delay = self.slots[idx].courier.on_failure(now);
-                        self.trace_backoff(idx, now_ms, delay);
-                    } else if self.slots[idx]
-                        .link
-                        .download_faulty(ACK_WIRE_BYTES, now, idx, topo.plan_for(idx))
-                        .is_some()
-                    {
-                        self.obs.tracer.event(now_ms, &actor, "wire.ack", || {
-                            format!("group acknowledged after {} attempt(s)", attempt)
-                        });
-                        self.slots[idx].courier.on_ack();
-                        if !was_dup {
-                            let all_applied =
-                                outcomes.iter().all(|o| *o == ApplyOutcome::Applied);
-                            for (msg, out) in group.iter().zip(&outcomes) {
-                                if *out == ApplyOutcome::Applied {
-                                    if let Some(v) = msg.version {
-                                        self.acked.push((idx, msg.path.clone(), v));
-                                    }
-                                }
-                            }
-                            self.server_outcomes.extend(outcomes);
-                            if all_applied {
-                                self.forward(idx, &group, now, &mut Some(&mut topo));
-                            }
-                        }
-                    } else {
-                        // Ack lost: the client cannot tell this from a
-                        // dropped upload and retransmits.
-                        self.obs.tracer.event(now_ms, &actor, "fault.inject", || {
-                            "ack lost on the downlink".to_string()
-                        });
-                        let delay = self.slots[idx].courier.on_failure(now);
-                        self.trace_backoff(idx, now_ms, delay);
-                    }
-                }
-            }
-        }
-        self.fault = Some(topo);
-    }
-
-    /// Records the courier's retransmission decision in the trace.
-    fn trace_backoff(&self, idx: usize, now_ms: u64, delay: Option<u64>) {
-        self.obs
-            .tracer
-            .event(now_ms, &actor_name(idx), "retry.backoff", || match delay {
-                Some(d) => format!("retransmission armed in {d}ms"),
-                None => "retry budget exhausted: group parked".to_string(),
-            });
-    }
-
-    /// The clients a group from `from` fans out to, ascending: the
-    /// uploader's namespace subscribers plus every root client. A root
-    /// uploader fans out to everyone (per-message visibility still
-    /// filters what a namespaced peer receives).
-    fn receivers_for(&self, from: usize) -> Vec<usize> {
-        let ns = &self.slots[from].namespace;
-        if ns.is_empty() {
-            return (0..self.slots.len()).filter(|&i| i != from).collect();
-        }
-        let mut out: Vec<usize> = self
-            .root_subscribers
-            .iter()
-            .chain(self.subscribers.get(ns).into_iter().flatten())
-            .copied()
-            .filter(|&i| i != from)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Sends `group` to every subscribed client except `from` — the same
-    /// incremental data, no recomputation (paper §III-D), one batch per
-    /// peer. In fault mode each forwarded message can be lost on the
-    /// *receiving peer's* downlink, as decided by that peer's own fault
-    /// plan.
-    fn forward(
-        &mut self,
-        from: usize,
-        group: &[UpdateMsg],
-        now: SimTime,
-        fault: &mut Option<&mut FaultTopology>,
-    ) {
-        for idx in self.receivers_for(from) {
-            forward_group_to_peer(
-                &self.server,
-                &self.obs,
-                now,
-                from,
-                idx,
-                &mut self.slots[idx],
-                group,
-                fault,
-                &mut self.conflicts,
-            );
-        }
     }
 
     /// Pumps and advances the clock until every courier drains (or
@@ -1042,7 +753,6 @@ impl SyncHub {
                 deliver_group_streaming(
                     &self.obs,
                     now,
-                    idx,
                     &mut self.slots[idx],
                     gid,
                     &repairs,
@@ -1216,11 +926,7 @@ impl SyncHub {
     pub fn crash_and_restart_client(&mut self, idx: usize) -> Vec<String> {
         // Interception is synchronous: operations that completed before
         // the crash already reached the engine (and its undo logs).
-        let events = self.slots[idx].fs.drain_events();
-        for e in &events {
-            let slot = &mut self.slots[idx];
-            slot.client.handle_event(e, &slot.fs);
-        }
+        self.slots[idx].ingest();
         self.slots[idx].courier.clear();
         // In-flight forwarded chunk streams die with the process: a
         // staged (uncommitted) group is volatile by design, so nothing
@@ -1241,129 +947,323 @@ impl SyncHub {
     }
 }
 
-/// What one pump lane produced, merged into the hub in lane order.
+/// What one pump turn produced, merged into the hub in slot (then lane)
+/// order.
 #[derive(Default)]
-struct LaneOutput {
+struct TurnOutput {
     outcomes: Vec<ApplyOutcome>,
     conflicts: Vec<(usize, RemoteConflict)>,
+    acked: Vec<(usize, String, Version)>,
+    deferred: Vec<Vec<UpdateMsg>>,
+}
+
+/// The hub state one pump turn drives its slots against — everything
+/// but the slots themselves, so a parallel lane borrows it alongside
+/// its own slots.
+struct Turn<'a> {
+    server: &'a ShardedServer,
+    obs: &'a Obs,
+    now: SimTime,
+    hist: Option<&'a Histogram>,
+    /// The armed fault schedules, or an empty plan when faults are off.
+    topo: &'a mut FaultTopology,
+    /// Per-shard snapshot stores — present only with faults armed, the
+    /// one mode that persists every group and can crash the server.
+    stores: Option<&'a mut [MemStore]>,
+    /// Namespace → positions (in the turn's slot slice) of its
+    /// subscribers, and the positions of root clients.
+    subscribers: &'a HashMap<String, Vec<usize>>,
+    roots: &'a [usize],
+    out: TurnOutput,
 }
 
 /// One parallel-pump lane: the slots homed on one shard, pumped in index
-/// order exactly like the sequential path (events → tick/flush → upload →
-/// apply → forward to same-namespace lane peers).
+/// order exactly like the sequential path, with an empty fault plan and
+/// a lane-local subscriber index (lanes hold namespaced clients only).
 fn run_lane(
     server: &ShardedServer,
     obs: &Obs,
     now: SimTime,
-    lane: &mut [(usize, Slot)],
+    lane: &mut [Slot],
     flush: bool,
     hist: Option<&Histogram>,
-) -> LaneOutput {
-    let mut out = LaneOutput::default();
-    for i in 0..lane.len() {
-        let groups = {
-            let (_, slot) = &mut lane[i];
-            let events = slot.fs.drain_events();
-            for e in &events {
-                slot.client.handle_event(e, &slot.fs);
-            }
-            if flush {
-                slot.client.flush(&slot.fs)
-            } else {
-                slot.client.tick(&slot.fs)
-            }
-        };
-        let from = lane[i].0;
-        let ns = lane[i].1.namespace.clone();
-        for group in groups {
-            let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
-            obs.tracer
-                .event(now.as_millis(), &actor_name(from), "wire.upload", || {
-                    format!("group of {} msgs, {wire} wire bytes", group.len())
-                });
-            let busy_before = lane[i].1.link.upload_busy_until();
-            let arrival = lane[i].1.link.upload(wire, now);
-            let gkey = group
-                .iter()
-                .find_map(|m| m.group)
-                .filter(|_| obs.spans.enabled())
-                .map(|g| g.span_key());
-            if let Some(key) = gkey {
-                obs.spans.record(
-                    key,
-                    "link",
-                    "wire.upload",
-                    now.max(busy_before).as_millis(),
-                    arrival.as_millis(),
-                    None,
-                    || format!("group of {} msgs, {wire} wire bytes", group.len()),
-                );
-            }
-            let t0 = hist.map(|_| Instant::now());
-            let outcomes = server.apply_txn(&group);
-            if let (Some(h), Some(t0)) = (hist, t0) {
-                h.observe(t0.elapsed().as_micros() as u64);
-            }
-            let all_applied = outcomes.iter().all(|o| *o == ApplyOutcome::Applied);
-            obs.tracer
-                .event(now.as_millis(), "server", "server.apply", || {
-                    format!(
-                        "group from {}: {} msgs, all_applied={all_applied}",
-                        actor_name(from),
-                        group.len()
-                    )
-                });
-            if let Some(key) = gkey {
-                let at = arrival.as_millis();
-                obs.spans.record(key, "server", "server.apply", at, at, None, || {
-                    format!("{} outcome(s), all_applied={all_applied}", outcomes.len())
-                });
-            }
-            out.outcomes.extend(outcomes);
-            lane[i].1.link.download(ACK_WIRE_BYTES, now);
-            if all_applied {
-                for (j, (peer_idx, peer)) in lane.iter_mut().enumerate() {
-                    if j == i || peer.namespace != ns {
-                        continue;
-                    }
-                    forward_group_to_peer(
-                        server,
-                        obs,
-                        now,
-                        from,
-                        *peer_idx,
-                        peer,
-                        &group,
-                        &mut None,
-                        &mut out.conflicts,
-                    );
-                }
-            }
-        }
+) -> TurnOutput {
+    let mut subscribers: HashMap<String, Vec<usize>> = HashMap::new();
+    for (pos, slot) in lane.iter().enumerate() {
+        subscribers
+            .entry(slot.namespace.clone())
+            .or_default()
+            .push(pos);
     }
+    let mut clean = FaultTopology::shared(FaultSpec::clean(0));
+    let mut turn = Turn {
+        server,
+        obs,
+        now,
+        hist,
+        topo: &mut clean,
+        stores: None,
+        subscribers: &subscribers,
+        roots: &[],
+        out: TurnOutput::default(),
+    };
+    for pos in 0..lane.len() {
+        pump_slot(&mut turn, lane, pos, flush);
+    }
+    turn.out
+}
+
+/// The peers a group from `slots[from]` fans out to, as ascending
+/// positions: the uploader's namespace subscribers plus every root
+/// client. A root uploader fans out to everyone (per-message visibility
+/// still filters what a namespaced peer receives).
+fn receivers(turn: &Turn<'_>, slots: &[Slot], from: usize) -> Vec<usize> {
+    let ns = &slots[from].namespace;
+    if ns.is_empty() {
+        return (0..slots.len()).filter(|&i| i != from).collect();
+    }
+    let mut out: Vec<usize> = turn
+        .roots
+        .iter()
+        .chain(turn.subscribers.get(ns).into_iter().flatten())
+        .copied()
+        .filter(|&i| i != from)
+        .collect();
+    out.sort_unstable();
+    out.dedup();
     out
 }
 
-/// Delivers one group to one peer — the per-peer forward batch shared by
-/// the sequential pump and the parallel lanes. Messages outside the
-/// peer's namespace are filtered; the rest keep the per-message
-/// divergence check (a diverged peer gets materialized Full content, an
-/// in-sync peer the verbatim incremental data), resolved up front by
+/// One slot's pump turn — the hub's single upload loop, faults or not.
+///
+/// Feeds the slot's pending events into its engine, queues every group
+/// the sync queue releases on its courier, then ships the head group
+/// until the queue drains or backoff / disconnection parks it. Each
+/// attempt draws one verdict from the slot's fault plan before any
+/// frame ships; a transmitted attempt goes through [`upload_group`] into
+/// the slot's upload stage and, when the plan delivers it, commits
+/// idempotently on the server. Only an acknowledgement that survives
+/// the downlink advances the courier, and an applied group then fans
+/// out to its receivers (the same incremental data, paper §III-D).
+fn pump_slot(turn: &mut Turn<'_>, slots: &mut [Slot], pos: usize, flush: bool) {
+    let now = turn.now;
+    let now_ms = now.as_millis();
+    let slot = &mut slots[pos];
+    let idx = slot.idx;
+    let actor = actor_name(idx);
+    slot.ingest();
+    let groups = if flush {
+        slot.client.flush(&slot.fs)
+    } else {
+        slot.client.tick(&slot.fs)
+    };
+    for group in groups {
+        slot.courier.enqueue(group);
+    }
+    loop {
+        let Slot {
+            client,
+            link,
+            courier,
+            upload,
+            upload_codec,
+            ..
+        } = &mut slots[pos];
+        let Some(flight) = courier.take_attempt(now) else {
+            break;
+        };
+        let attempt = flight.attempts;
+        let group = &flight.group;
+        turn.obs.tracer.event(now_ms, &actor, "wire.upload", || {
+            let wire: u64 = group.iter().map(UpdateMsg::wire_size).sum();
+            format!(
+                "group of {} msgs, {wire} wire bytes, attempt {attempt}",
+                group.len()
+            )
+        });
+        let plan = turn.topo.plan_for(idx);
+        let verdict = plan.upload_verdict(idx, now);
+        if verdict == UploadVerdict::Disconnected {
+            // Nothing is transmitted, and the reconnection time is
+            // known: park until then.
+            let until = plan
+                .disconnect_until(idx, now)
+                .unwrap_or(now.plus_millis(1));
+            turn.obs.tracer.event(now_ms, &actor, "fault.inject", || {
+                format!("disconnected; courier parked until {}ms", until.as_millis())
+            });
+            courier.defer_until(until);
+            break;
+        }
+        let (server, hist) = (turn.server, turn.hist);
+        let delivered = matches!(verdict, UploadVerdict::Delivered { .. });
+        let mut was_dup = false;
+        let receive = |frame: &ChunkFrame| {
+            // A server that crashes before apply stages nothing.
+            if !delivered {
+                return None;
+            }
+            let msgs = upload
+                .accept(frame)
+                .expect("in-process chunk stream cannot be malformed")?;
+            let t0 = hist.map(|_| Instant::now());
+            let (outcomes, dup) = server.apply_txn_idempotent(&msgs);
+            if let (Some(h), Some(t0)) = (hist, t0) {
+                h.observe(t0.elapsed().as_micros() as u64);
+            }
+            was_dup = dup;
+            (!dup).then_some(outcomes)
+        };
+        // A dropped attempt still occupies the wire but never lands.
+        let (_, applied) = upload_group(
+            group,
+            client.config().chunk_budget,
+            upload_codec,
+            link,
+            now,
+            turn.obs,
+            (verdict != UploadVerdict::Dropped).then_some(receive),
+        );
+        let acked = match verdict {
+            UploadVerdict::Disconnected => unreachable!("handled before any frame ships"),
+            UploadVerdict::Dropped => {
+                turn.obs.tracer.event(now_ms, &actor, "fault.inject", || {
+                    "upload dropped on the wire".to_string()
+                });
+                false
+            }
+            UploadVerdict::CrashBeforeApply => {
+                // The group dies with the server's volatile state; the
+                // restarted server comes back from the per-shard
+                // snapshots and the client retries into it.
+                turn.obs.tracer.event(now_ms, "server", "fault.inject", || {
+                    "server crash before apply; restored from snapshot".to_string()
+                });
+                reload(turn);
+                false
+            }
+            UploadVerdict::Delivered {
+                duplicate,
+                crash_after_apply,
+            } => {
+                let stage = if was_dup {
+                    "server.dedup"
+                } else {
+                    "server.apply"
+                };
+                turn.obs.tracer.event(now_ms, "server", stage, || {
+                    if was_dup {
+                        format!(
+                            "replay of group from {actor} absorbed ({} msgs)",
+                            group.len()
+                        )
+                    } else {
+                        format!("group from {actor} applied ({} msgs)", group.len())
+                    }
+                });
+                if let Some(stores) = turn.stores.as_deref_mut() {
+                    server.save_group(group, stores).expect("MemStore save");
+                }
+                if duplicate {
+                    // Every duplicated copy — versioned or namespace-
+                    // only — may be held back and redelivered after
+                    // newer groups: the `<CliID, GroupSeq>` replay
+                    // index recognizes it whenever it shows up.
+                    let deferred = turn.topo.plan_for(idx).defer_duplicate();
+                    turn.obs.tracer.event(now_ms, &actor, "fault.inject", || {
+                        if deferred {
+                            "upload duplicated; copy held for late redelivery".to_string()
+                        } else {
+                            "upload duplicated; copy redelivered immediately".to_string()
+                        }
+                    });
+                    if deferred {
+                        turn.out.deferred.push(group.clone());
+                    } else {
+                        server.apply_txn_idempotent(group);
+                    }
+                }
+                if crash_after_apply {
+                    // Applied and persisted, but the ack died with the
+                    // server: the retry must hit the rebuilt
+                    // idempotency index of the restarted server.
+                    turn.obs.tracer.event(now_ms, "server", "fault.inject", || {
+                        "server crash after apply; ack lost with it".to_string()
+                    });
+                    reload(turn);
+                    false
+                } else if link
+                    .download_faulty(ACK_WIRE_BYTES, now, idx, turn.topo.plan_for(idx))
+                    .is_some()
+                {
+                    turn.obs.tracer.event(now_ms, &actor, "wire.ack", || {
+                        format!("group acknowledged after {attempt} attempt(s)")
+                    });
+                    true
+                } else {
+                    // Ack lost: the client cannot tell this from a
+                    // dropped upload and retransmits.
+                    turn.obs.tracer.event(now_ms, &actor, "fault.inject", || {
+                        "ack lost on the downlink".to_string()
+                    });
+                    false
+                }
+            }
+        };
+        if !acked {
+            let delay = courier.on_failure(now);
+            turn.obs
+                .tracer
+                .event(now_ms, &actor, "retry.backoff", || match delay {
+                    Some(d) => format!("retransmission armed in {d}ms"),
+                    None => "retry budget exhausted: group parked".to_string(),
+                });
+            continue;
+        }
+        let group = courier
+            .on_ack()
+            .expect("the acknowledged group heads the queue");
+        let Some(outcomes) = applied else {
+            continue;
+        };
+        let all_applied = outcomes.iter().all(|o| *o == ApplyOutcome::Applied);
+        for (msg, out) in group.iter().zip(&outcomes) {
+            if *out == ApplyOutcome::Applied {
+                if let Some(v) = msg.version {
+                    turn.out.acked.push((idx, msg.path.clone(), v));
+                }
+            }
+        }
+        turn.out.outcomes.extend(outcomes);
+        if all_applied {
+            for peer in receivers(turn, slots, pos) {
+                forward_group_to_peer(turn, idx, &mut slots[peer], &group);
+            }
+        }
+    }
+}
+
+/// Restores every shard from its snapshot — a simulated server crash.
+/// Crashes fire only under an armed fault plan, the one mode that
+/// keeps snapshots.
+fn reload(turn: &mut Turn<'_>) {
+    let stores = turn
+        .stores
+        .as_deref_mut()
+        .expect("crashes fire only under an armed fault plan");
+    turn.server.reload_all(stores).expect("snapshot loads");
+}
+
+/// Delivers one group to one peer. Messages outside the peer's
+/// namespace are filtered; the rest keep the per-message divergence
+/// check (a diverged peer gets materialized Full content, an in-sync
+/// peer the verbatim incremental data), resolved up front by
 /// [`plan_forward_group`] so the whole batch streams through the
-/// chunked download pipeline and commits atomically on the peer.
-#[allow(clippy::too_many_arguments)]
-fn forward_group_to_peer(
-    server: &ShardedServer,
-    obs: &Obs,
-    now: SimTime,
-    from: usize,
-    peer_idx: usize,
-    peer: &mut Slot,
-    group: &[UpdateMsg],
-    fault: &mut Option<&mut FaultTopology>,
-    conflicts: &mut Vec<(usize, RemoteConflict)>,
-) {
-    let planned = plan_forward_group(server, peer, group);
+/// chunked download pipeline and commits atomically on the peer. Each
+/// forwarded message can be lost on the peer's downlink, as decided by
+/// the peer's own fault plan.
+fn forward_group_to_peer(turn: &mut Turn<'_>, from: usize, peer: &mut Slot, group: &[UpdateMsg]) {
+    let planned = plan_forward_group(turn.server, peer, group);
     if planned.is_empty() {
         return;
     }
@@ -1371,17 +1271,26 @@ fn forward_group_to_peer(
         .iter()
         .find_map(|m| m.group)
         .expect("upload groups are stamped");
-    obs.tracer
-        .event(now.as_millis(), "server", "wire.forward", || {
+    turn.obs
+        .tracer
+        .event(turn.now.as_millis(), "server", "wire.forward", || {
             format!(
                 "forwarding group of {} msgs from {} to {}",
                 planned.len(),
                 actor_name(from),
-                actor_name(peer_idx)
+                actor_name(peer.idx)
             )
         });
-    let plan = fault.as_mut().map(|topo| topo.plan_for(peer_idx));
-    deliver_group_streaming(obs, now, peer_idx, peer, gid, &planned, plan, conflicts);
+    let plan = turn.topo.plan_for(peer.idx);
+    deliver_group_streaming(
+        turn.obs,
+        turn.now,
+        peer,
+        gid,
+        &planned,
+        Some(plan),
+        &mut turn.out.conflicts,
+    );
 }
 
 /// Plans what one peer receives for a forwarded group: messages outside
@@ -1480,7 +1389,6 @@ fn plan_forward_group(server: &ShardedServer, peer: &Slot, group: &[UpdateMsg]) 
 fn deliver_group_streaming(
     obs: &Obs,
     now: SimTime,
-    peer_idx: usize,
     peer: &mut Slot,
     gid: GroupId,
     msgs: &[UpdateMsg],
@@ -1490,6 +1398,7 @@ fn deliver_group_streaming(
     if msgs.is_empty() {
         return;
     }
+    let peer_idx = peer.idx;
     // Restamp with the stream's group id so every frame keys one stage
     // (synthetic streams — full sync, anti-entropy — carry no group id
     // of their own).
@@ -1829,6 +1738,98 @@ mod tests {
         assert_eq!(hub.fs(a2).peek_all("/t1/doc").unwrap(), b"tenant one");
         assert!(!hub.fs(b1).exists("/t1/doc"));
         assert_eq!(hub.traffic(b1).bytes_down, 0, "no fan-out to tenant 2");
+    }
+
+    /// Three mobile clients: client 0 creates a compressible document
+    /// and client 1 a small file, then clients 0 and 2 edit the document
+    /// concurrently (a conflict) while client 1 renames its file.
+    fn three_writer_run(cfg: DeltaCfsConfig, arm: Option<FaultSpec>) -> SyncHub {
+        let clock = SimClock::new();
+        let mut hub = SyncHub::new(clock.clone());
+        for _ in 0..3 {
+            hub.add_client(cfg, LinkSpec::mobile());
+        }
+        if let Some(spec) = arm {
+            hub.enable_faults(spec);
+        }
+        let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog. "
+            .iter()
+            .copied()
+            .cycle()
+            .take(40_000)
+            .collect();
+        hub.fs_mut(0).create("/doc").unwrap();
+        hub.fs_mut(0).write("/doc", 0, &text).unwrap();
+        hub.fs_mut(1).create("/b").unwrap();
+        hub.fs_mut(1).write("/b", 0, b"small file").unwrap();
+        hub.pump();
+        clock.advance(4000);
+        hub.pump();
+        hub.fs_mut(0).write("/doc", 100, &text[..25_000]).unwrap();
+        hub.fs_mut(2)
+            .write("/doc", 30_000, b"concurrent edit")
+            .unwrap();
+        hub.fs_mut(1).rename("/b", "/c").unwrap();
+        hub.pump();
+        clock.advance(4000);
+        hub.pump();
+        hub.flush();
+        hub
+    }
+
+    /// Every replica's files (clients, then the server), the server
+    /// outcomes and the client conflicts: all a run leaves but traffic.
+    type RunState = (
+        Vec<Vec<(String, Vec<u8>)>>,
+        Vec<ApplyOutcome>,
+        Vec<(usize, RemoteConflict)>,
+    );
+
+    fn state(hub: &SyncHub) -> RunState {
+        let mut replicas: Vec<Vec<(String, Vec<u8>)>> = (0..hub.client_count())
+            .map(|i| {
+                let fs = hub.fs(i);
+                let files = fs.walk_files("/").unwrap().into_iter();
+                files
+                    .map(|p| (p.to_string(), fs.peek_all(p.as_str()).unwrap()))
+                    .collect()
+            })
+            .collect();
+        let server = hub.server();
+        let files = server.paths().into_iter();
+        replicas.push(
+            files
+                .map(|p| (p.clone(), server.file(&p).unwrap()))
+                .collect(),
+        );
+        (
+            replicas,
+            hub.server_outcomes().to_vec(),
+            hub.conflicts().to_vec(),
+        )
+    }
+
+    #[test]
+    fn no_fault_hub_is_the_courier_with_an_empty_plan() {
+        let plain = three_writer_run(DeltaCfsConfig::new(), None);
+        let armed = three_writer_run(DeltaCfsConfig::new(), Some(FaultSpec::clean(7)));
+        assert_eq!(state(&armed), state(&plain));
+        assert!(!plain.conflicts().is_empty(), "the workload must conflict");
+        for i in 0..plain.client_count() {
+            assert_eq!(armed.traffic(i), plain.traffic(i), "client {i} traffic");
+        }
+    }
+
+    #[test]
+    fn hub_wire_compression_shrinks_a_compressible_upload() {
+        let raw = three_writer_run(DeltaCfsConfig::new(), None);
+        let codec = three_writer_run(DeltaCfsConfig::new().with_wire_compression(true), None);
+        assert_eq!(state(&codec), state(&raw));
+        let (raw_up, codec_up) = (raw.traffic(0).bytes_up, codec.traffic(0).bytes_up);
+        assert!(
+            codec_up < raw_up,
+            "compressed uplink {codec_up} not below raw {raw_up}"
+        );
     }
 
     #[test]

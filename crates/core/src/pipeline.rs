@@ -1,33 +1,32 @@
-//! Streaming upload pipeline: bounded chunk frames between the delta
-//! encoder and the simulated wire.
+//! The upload path: transaction groups cross the simulated wire as
+//! bounded chunk frames.
 //!
-//! The materialized path builds every [`UpdateMsg`] of a transaction
-//! group, sums their [`wire_size`](UpdateMsg::wire_size), and puts the
-//! whole group on the link in one shot — peak client memory tracks the
-//! *group* size, and the link sits idle while the encoder works. This
-//! module replaces that with a producer/consumer pipeline:
+//! Every engine ships a ready group through one function,
+//! [`upload_group`], the client→cloud mirror of the hub's forward
+//! delivery:
 //!
-//! * the encoder side turns each message into a sequence of
+//! * [`frame_group`] turns each message into a sequence of
 //!   [`ChunkFrame`]s — scatter-gather pieces mixing small control
 //!   buffers (headers, op tags) with shared [`Payload`] views, never
 //!   copying payload bytes — holding at most `chunk_budget` literal
-//!   bytes each;
-//! * frames travel over a **bounded** channel ([`run_pipeline`]) with
-//!   byte-based back-pressure: the encoder blocks once
-//!   `chunk_budget * pipeline_depth` bytes are queued, so peak pipeline
-//!   memory is a configuration constant instead of ballooning with the
-//!   delta;
-//! * the uploader side puts each frame on the wire as it arrives
-//!   ([`Link::upload_part`](deltacfs_net::Link::upload_part)) and feeds
-//!   it to [`CloudServer::receive_chunk`], which stages bytes per
-//!   message and commits the group atomically when the final chunk
-//!   lands.
+//!   bytes each (`usize::MAX` ships one frame per message);
+//! * each frame runs through the upload [`WireCodec`], occupies the
+//!   uplink as a part ([`Link::upload_part_codec`]) and lands in the
+//!   receiver's [`ChunkStager`], which decodes messages and releases
+//!   the group atomically when its final frame lands; the message
+//!   latency is charged once per group.
 //!
 //! Accounting is exact, not approximate: the [`ChunkAccountant`]
-//! charges each streamed chunk so the per-group total equals the
-//! materialized `wire_size` byte for byte — ops that a chunk boundary
-//! split are charged one header, just as the receiver's
+//! charges each streamed chunk so the per-group total equals
+//! `Σ wire_size` byte for byte at any budget — ops that a chunk
+//! boundary split are charged one header, just as the receiver's
 //! [`Delta::from_ops`](deltacfs_delta::Delta) re-merge produces one op.
+//!
+//! [`upload_delta_streaming`] goes one step further for a single fresh
+//! delta: the encoder runs on its own thread and frames travel over a
+//! **bounded** channel ([`run_pipeline`]) with byte-based
+//! back-pressure, so encode overlaps upload and peak in-flight memory
+//! is `chunk_budget * pipeline_depth` instead of the delta size.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +39,7 @@ use deltacfs_delta::{
     DeltaParams, HierarchyStats, OP_HEADER_BYTES,
 };
 use deltacfs_net::{Link, SimTime};
-use deltacfs_obs::Obs;
+use deltacfs_obs::{GroupKey, Obs, SpanRecorder};
 
 use crate::protocol::{
     ApplyOutcome, GroupId, Payload, UpdateMsg, UpdatePayload, ACK_WIRE_BYTES, MSG_HEADER_BYTES,
@@ -511,6 +510,140 @@ pub fn frame_group(msgs: &[UpdateMsg], chunk_budget: usize, mut emit: impl FnMut
     }
 }
 
+/// One group's client → cloud transfer as the link and the profiler see
+/// it, shared by [`upload_group`] and [`upload_delta_streaming`]: every
+/// frame occupies the uplink as a part and records a `wire.upload` span,
+/// the frame that commits the group records the zero-width
+/// `server.stage` / `server.apply` pair (staging and apply are memory
+/// movement the clock does not model), and [`finish`](Self::finish)
+/// charges the message latency once.
+struct GroupUplink<'a> {
+    spans: &'a SpanRecorder,
+    key: Option<GroupKey>,
+    first_landed: Option<u64>,
+    lost: bool,
+}
+
+impl<'a> GroupUplink<'a> {
+    fn new(obs: &'a Obs, group: Option<GroupId>) -> Self {
+        let spans = &obs.spans;
+        GroupUplink {
+            spans,
+            key: group.filter(|_| spans.enabled()).map(|g| g.span_key()),
+            first_landed: None,
+            lost: false,
+        }
+    }
+
+    /// Puts `frame` on `link` from `ready` and hands it to `receive`,
+    /// which returns the group's outcomes when this frame commits it.
+    /// `receive: None` loses the frame on the wire: it still occupies
+    /// the link (the sender did transmit it) and its span stays open,
+    /// but nothing lands.
+    fn ship<R>(
+        &mut self,
+        link: &mut Link,
+        frame: &ChunkFrame,
+        ready: SimTime,
+        receive: Option<&mut R>,
+    ) -> (SimTime, Option<Vec<ApplyOutcome>>)
+    where
+        R: FnMut(&ChunkFrame) -> Option<Vec<ApplyOutcome>>,
+    {
+        let start = ready.max(link.upload_busy_until()).as_millis();
+        let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), ready);
+        let landed = done.as_millis();
+        let Some(receive) = receive else {
+            self.lost = true;
+            if let Some(key) = self.key {
+                self.spans.start(key, "link", "wire.upload", start, None);
+            }
+            return (done, None);
+        };
+        if let Some(key) = self.key {
+            self.spans
+                .record(key, "link", "wire.upload", start, landed, None, || {
+                    format!(
+                        "msg {} chunk {}: {} wire bytes",
+                        frame.msg_idx, frame.chunk_idx, frame.accounted
+                    )
+                });
+        }
+        let first = *self.first_landed.get_or_insert(landed);
+        let committed = receive(frame);
+        if let (Some(key), Some(outcomes)) = (self.key, &committed) {
+            self.spans
+                .record(key, "server", "server.stage", landed, landed, None, || {
+                    format!("committed after a {}ms staging window", landed - first)
+                });
+            self.spans
+                .record(key, "server", "server.apply", landed, landed, None, || {
+                    format!("{} outcome(s)", outcomes.len())
+                });
+        }
+        (done, committed)
+    }
+
+    /// Closes the message: charges the one-way latency once and, unless
+    /// a frame was lost, records it as the transfer's last span.
+    fn finish(&self, link: &mut Link, now: SimTime) -> SimTime {
+        let start = now.max(link.upload_busy_until()).as_millis();
+        let done = link.upload_end_msg(now);
+        if let (Some(key), false) = (self.key, self.lost) {
+            self.spans.record(
+                key,
+                "link",
+                "wire.upload",
+                start,
+                done.as_millis(),
+                None,
+                || "end-of-message latency".into(),
+            );
+        }
+        done
+    }
+}
+
+/// Ships one transaction group client → cloud as bounded chunk frames —
+/// the one upload path of every engine.
+///
+/// The group is framed at `chunk_budget` ([`frame_group`]); each frame
+/// runs through the upload `codec`, occupies the uplink as a part from
+/// `now` ([`Link::upload_part_codec`]) and lands in `receive` — the
+/// receiver's chunk stage, which returns the group's apply outcomes
+/// when the final frame commits it. The message latency is charged
+/// once per group ([`Link::upload_end_msg`]), so with the codec off the
+/// link's `bytes_up` grows by exactly `Σ wire_size()` at any budget.
+///
+/// `receive: None` is an attempt lost on the wire: every frame still
+/// occupies the link and its `wire.upload` span stays open, but nothing
+/// is staged.
+///
+/// Returns the end-of-message completion time and the outcomes of the
+/// commit, if `receive` reported one.
+pub fn upload_group<R>(
+    group: &[UpdateMsg],
+    chunk_budget: usize,
+    codec: &mut WireCodec,
+    link: &mut Link,
+    now: SimTime,
+    obs: &Obs,
+    mut receive: Option<R>,
+) -> (SimTime, Option<Vec<ApplyOutcome>>)
+where
+    R: FnMut(&ChunkFrame) -> Option<Vec<ApplyOutcome>>,
+{
+    let mut uplink = GroupUplink::new(obs, group.first().and_then(|m| m.group));
+    let mut committed = None;
+    frame_group(group, chunk_budget, |frame| {
+        let frame = codec.encode_frame(frame, now.as_millis());
+        if let (_, Some(outcomes)) = uplink.ship(link, &frame, now, receive.as_mut()) {
+            committed = Some(outcomes);
+        }
+    });
+    (uplink.finish(link, now), committed)
+}
+
 /// Bounds for one pipelined upload.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
@@ -518,18 +651,6 @@ pub struct PipelineConfig {
     pub chunk_budget: usize,
     /// Bounded channel depth between encoder and uploader.
     pub pipeline_depth: usize,
-}
-
-/// How the uploader stamps each frame's ready time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pace {
-    /// Every frame is ready at the call's `now` — fully deterministic,
-    /// used by the engine (frame production is cheap there).
-    Immediate,
-    /// A frame is ready at `now` plus the real encoder time elapsed
-    /// when it was received — this is what lets the bench show upload
-    /// of chunk `k` overlapping the encoding of chunk `k + 1`.
-    Measured,
 }
 
 /// What a pipelined upload observed.
@@ -578,8 +699,11 @@ impl FrameSender<'_> {
 
 /// Runs one producer/consumer pipeline: `produce` emits frames from a
 /// scoped encoder thread while `upload` consumes them on the calling
-/// thread. Back-pressure is byte-based: at most
-/// `chunk_budget * pipeline_depth` bytes sit between the two (the one
+/// thread. Each frame is ready at `now` plus the real encoder time
+/// elapsed when it was received, which is what shows upload of chunk
+/// `k` overlapping the encoding of chunk `k + 1`. Back-pressure is
+/// byte-based: at most `chunk_budget * pipeline_depth` bytes sit
+/// between the two (the one
 /// exception being a single frame admitted into an empty pipeline, so
 /// an over-cap frame cannot deadlock the encoder). With frames of at
 /// most `chunk_budget` bytes — the budget covers a frame's control
@@ -592,7 +716,6 @@ impl FrameSender<'_> {
 /// streamed upload shows the interleaving.
 pub fn run_pipeline<P>(
     cfg: PipelineConfig,
-    pace: Pace,
     now: SimTime,
     obs: &Obs,
     produce: P,
@@ -623,10 +746,7 @@ where
         };
         let encoder = scope.spawn(move || produce(&sender));
         while let Ok(frame) = rx.recv() {
-            let ready = match pace {
-                Pace::Immediate => now,
-                Pace::Measured => now.plus_millis(started.elapsed().as_millis() as u64),
-            };
+            let ready = now.plus_millis(started.elapsed().as_millis() as u64);
             gauge.set(*inflight.lock().expect("pipeline lock") as i64);
             obs.tracer
                 .event(ready.as_millis(), "pipeline", "chunk", || {
@@ -701,13 +821,17 @@ pub fn upload_delta_streaming(
         .expect("streamed messages carry a group id")
         .span_key();
     let spans = &obs.spans;
-    let span_on = spans.enabled();
-    // The encode span closes at the last frame's ready time — under
-    // Pace::Measured that is when the encoder actually finished, so the
-    // profiler sees the true encode/upload overlap.
+    let mut uplink = GroupUplink::new(obs, msg.group);
+    let mut receive = |frame: &ChunkFrame| {
+        server
+            .receive_chunk(frame)
+            .expect("in-process chunk stream cannot be malformed")
+    };
+    // The encode span closes at the last frame's ready time — when the
+    // encoder actually finished — so the profiler sees the true
+    // encode/upload overlap.
     let encode_span = spans.start(gkey, "pipeline", "delta.encode", at_ms, None);
     let mut encode_end_ms = at_ms;
-    let mut stage_first_ms: Option<u64> = None;
     // The diff runs on the encoder thread; its hierarchy stats land in
     // *that* thread's accumulator, so the encoder drains them here and
     // the tail below re-records them on the caller's thread.
@@ -715,7 +839,6 @@ pub fn upload_delta_streaming(
     let hstats_out = &mut hstats;
     let mut report = run_pipeline(
         *cfg,
-        Pace::Measured,
         now,
         obs,
         move |sender| {
@@ -731,82 +854,36 @@ pub fn upload_delta_streaming(
             *hstats_out = take_hierarchy_stats();
         },
         |frame, ready| {
-            let busy_before = link.upload_busy_until();
-            let done = link.upload_part_codec(frame.accounted, frame.compressed_from(), ready);
-            if span_on {
-                encode_end_ms = encode_end_ms.max(ready.as_millis());
-                spans.record(
-                    gkey,
-                    "link",
-                    "wire.upload",
-                    ready.max(busy_before).as_millis(),
-                    done.as_millis(),
-                    None,
-                    || {
-                        format!(
-                            "msg {} chunk {}: {} wire bytes",
-                            frame.msg_idx, frame.chunk_idx, frame.accounted
-                        )
-                    },
-                );
-                if stage_first_ms.is_none() {
-                    stage_first_ms = Some(done.as_millis());
-                }
-            }
-            if let Some(out) = server
-                .receive_chunk(&frame)
-                .expect("in-process chunk stream cannot be malformed")
-            {
-                if span_on {
-                    // Staging and apply are memory movement the clock
-                    // does not model: zero-width spans at commit time,
-                    // with the staging window in the detail.
-                    let d = done.as_millis();
-                    spans.record(gkey, "server", "server.stage", d, d, None, || {
-                        format!(
-                            "committed after a {}ms staging window",
-                            d - stage_first_ms.unwrap_or(d)
-                        )
-                    });
-                    spans.record(gkey, "server", "server.apply", d, d, None, || {
-                        format!("{} outcome(s)", out.len())
-                    });
-                }
-                outcomes.extend(out);
-            }
+            encode_end_ms = encode_end_ms.max(ready.as_millis());
+            let (done, committed) = uplink.ship(link, &frame, ready, Some(&mut receive));
+            outcomes.extend(committed.into_iter().flatten());
             done
         },
     );
-    let parts_done = report.done;
-    report.done = link.upload_end_msg(report.done);
+    report.done = uplink.finish(link, now);
     link.download(ACK_WIRE_BYTES, now);
     if hstats.engaged() {
         record_hierarchy_stats(&hstats);
-        if span_on {
-            spans.record(gkey, "pipeline", "delta.hierarchy", at_ms, at_ms, None, || {
+        spans.record(
+            gkey,
+            "pipeline",
+            "delta.hierarchy",
+            at_ms,
+            at_ms,
+            None,
+            || {
                 format!(
                     "{} span(s) matched wholesale, {} bytes skipped, {} leaf-walked",
                     hstats.levels_matched(),
                     hstats.bytes_skipped,
                     hstats.leaf_walk_bytes
                 )
-            });
-        }
-    }
-    if span_on {
-        spans.end_detail(encode_span, encode_end_ms, || {
-            format!("{} frame(s) emitted", report.frames)
-        });
-        spans.record(
-            gkey,
-            "link",
-            "wire.upload",
-            parts_done.as_millis(),
-            report.done.as_millis(),
-            None,
-            || "end-of-message latency".into(),
+            },
         );
     }
+    spans.end_detail(encode_span, encode_end_ms, || {
+        format!("{} frame(s) emitted", report.frames)
+    });
     (report, outcomes)
 }
 
@@ -967,7 +1044,6 @@ mod tests {
                 chunk_budget: budget,
                 pipeline_depth: depth,
             },
-            Pace::Immediate,
             SimTime::ZERO,
             &obs,
             |sender| {

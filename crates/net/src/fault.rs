@@ -8,10 +8,11 @@
 //! same workload against the same spec yields byte-identical fault
 //! schedules, which is what makes failing seeds reproducible.
 //!
-//! The plan is threaded through [`Link`](crate::Link) (see
-//! [`Link::upload_faulty`](crate::Link::upload_faulty)) and through the
-//! client/server RPC pump in `deltacfs-core`; [`SimTime`] anchors the
-//! disconnect windows to the shared virtual clock.
+//! The plan is consulted by the client/server RPC pump in
+//! `deltacfs-core` (one [`FaultPlan::upload_verdict`] per upload attempt,
+//! before any frame ships) and by
+//! [`Link::download_faulty`](crate::Link::download_faulty); [`SimTime`]
+//! anchors the disconnect windows to the shared virtual clock.
 
 use rand::{Rng, SeedableRng, StdRng};
 

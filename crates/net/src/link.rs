@@ -1,5 +1,5 @@
 use crate::clock::SimTime;
-use crate::fault::{FaultPlan, UploadVerdict};
+use crate::fault::FaultPlan;
 use crate::profile::PlatformProfile;
 use crate::traffic::TrafficStats;
 
@@ -221,28 +221,6 @@ impl Link {
         let start = now.max(self.down_busy_until);
         self.down_busy_until = start.plus_millis(self.spec.latency_ms);
         self.down_busy_until
-    }
-
-    /// Sends `bytes` client → cloud through `plan`'s fault schedule.
-    ///
-    /// A disconnected client transmits nothing (the transfer is not
-    /// accounted); every other verdict puts the bytes on the wire —
-    /// dropped uploads still cost bandwidth, which is how retries show up
-    /// in the traffic counters. Returns the completion time of whatever
-    /// was transmitted, plus the verdict for the RPC layer to act on.
-    pub fn upload_faulty(
-        &mut self,
-        bytes: u64,
-        now: SimTime,
-        client: usize,
-        plan: &mut FaultPlan,
-    ) -> (Option<SimTime>, UploadVerdict) {
-        let verdict = plan.upload_verdict(client, now);
-        if verdict == UploadVerdict::Disconnected {
-            return (None, verdict);
-        }
-        let done = self.upload(bytes, now);
-        (Some(done), verdict)
     }
 
     /// Sends `bytes` cloud → client through `plan`'s fault schedule.

@@ -134,7 +134,6 @@ fn wire_codec_metrics_and_trace_cover_the_compressed_stream() {
 
     let clock = SimClock::new();
     let cfg = DeltaCfsConfig::new()
-        .with_streaming(true)
         .with_chunk_budget(4096)
         .with_wire_compression(true);
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());

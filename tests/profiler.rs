@@ -202,7 +202,6 @@ fn streaming_upload_spans_cover_compress_and_stage() {
 
     let clock = SimClock::new();
     let cfg = DeltaCfsConfig::new()
-        .with_streaming(true)
         .with_chunk_budget(4096)
         .with_wire_compression(true);
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());

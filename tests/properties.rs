@@ -1442,9 +1442,7 @@ fn run_codec_workload(
 
     let clock = SimClock::new();
     let cfg = DeltaCfsConfig::new()
-        .with_streaming(true)
         .with_chunk_budget(budget)
-        .with_pipeline_depth(2)
         .with_min_parallel_bytes(0)
         .with_wire_compression(policy.is_some());
     let mut sys = DeltaCfsSystem::new(cfg, clock.clone(), LinkSpec::mobile());
