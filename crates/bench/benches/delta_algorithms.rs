@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use deltacfs_delta::{cdc, compress, dedup, local, md5, rsync, Cost, DeltaParams};
+use deltacfs_workloads::ContentGen;
 
 const SIZE: usize = 4 * 1024 * 1024;
 
@@ -92,5 +93,39 @@ fn bench_block_sizes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_primitives, bench_block_sizes);
+/// The wire codec's LZ77 kernel on chunk-frame-sized inputs (256 KiB,
+/// the size a large group's frames reach): compression and inflation
+/// throughput on text, two text/noise mixes and pure noise.
+fn bench_lz77_frames(c: &mut Criterion) {
+    const FRAME: usize = 256 * 1024;
+    let mut gen = ContentGen::new(14);
+    let inputs = [
+        ("text", gen.text(FRAME)),
+        ("mixed_0.8", gen.mixed(FRAME, 0.8)),
+        ("mixed_0.6", gen.mixed(FRAME, 0.6)),
+        ("noise", gen.noise(FRAME)),
+    ];
+    let mut group = c.benchmark_group("lz77_frame");
+    group.throughput(Throughput::Bytes(FRAME as u64));
+    group.sample_size(40);
+    for (name, data) in &inputs {
+        group.bench_with_input(BenchmarkId::new("compress", name), data, |b, data| {
+            b.iter(|| compress::compress(data, &mut Cost::new()))
+        });
+        let packed = compress::compress(data, &mut Cost::new());
+        group.bench_with_input(
+            BenchmarkId::new("decompress", name),
+            &packed,
+            |b, packed| b.iter(|| compress::decompress_limited(packed, FRAME).expect("round trip")),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_primitives,
+    bench_block_sizes,
+    bench_lz77_frames
+);
 criterion_main!(benches);

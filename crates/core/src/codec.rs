@@ -39,8 +39,7 @@ use deltacfs_delta::{compress, Cost};
 use deltacfs_net::{LinkSpec, PlatformProfile};
 use deltacfs_obs::{Counter, Histogram, Obs};
 
-use crate::pipeline::ChunkFrame;
-use crate::protocol::Payload;
+use crate::pipeline::{ChunkFrame, FramePiece};
 use crate::wire::{self, Codec};
 
 /// Frames smaller than this always ship raw: the envelope overhead and
@@ -212,16 +211,17 @@ impl WireCodec {
             self.raw_chunks.inc();
             return frame;
         }
-        let mut raw = Vec::with_capacity(raw_len as usize);
-        for piece in &frame.pieces {
-            raw.extend_from_slice(piece.as_slice());
-        }
-        let compressed = compress::compress(&raw, &mut self.cost);
-        let observed = compressed.len() as f64 / raw.len() as f64;
+        let raw = frame.contiguous();
+        let mut compressed_len = 0;
+        let envelope = wire::encode_codec_envelope(raw_len, |buf| {
+            let header = buf.len();
+            compress::compress_into(&raw, &mut self.cost, buf);
+            compressed_len = buf.len() - header;
+        });
+        let observed = compressed_len as f64 / raw.len() as f64;
         // Outcome feedback: pull the probe toward what the compressor
         // actually achieved on this workload.
         self.bias += BIAS_ALPHA * ((observed - probe) - self.bias);
-        let envelope = wire::encode_codec_envelope(raw_len, &compressed);
         let envelope_len = envelope.len() as u64;
         if envelope_len >= raw_len.min(frame.accounted) {
             // Not worth it after all — ship the original, untouched.
@@ -259,7 +259,7 @@ impl WireCodec {
             },
         );
         ChunkFrame {
-            pieces: vec![crate::pipeline::FramePiece::Control(Bytes::from(envelope))],
+            pieces: vec![FramePiece::Control(Bytes::from(envelope))],
             accounted: envelope_len,
             codec: Codec::Lz77 { raw_len },
             ..frame
@@ -314,20 +314,9 @@ pub fn compressed_wire_size(data: &[u8], cost: &mut Cost) -> u64 {
     compress::compressed_size(data, cost)
 }
 
-/// Shorthand used by tests: the payload a codec frame would restore to.
-#[doc(hidden)]
-pub fn frame_payload(frame: &ChunkFrame) -> Payload {
-    let mut out = Vec::with_capacity(frame.byte_len() as usize);
-    for piece in &frame.pieces {
-        out.extend_from_slice(piece.as_slice());
-    }
-    Payload::from(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::FramePiece;
     use crate::protocol::{ClientId, GroupId};
 
     fn frame_of(bytes: Vec<u8>, accounted: u64) -> ChunkFrame {
@@ -446,7 +435,7 @@ mod tests {
             panic!("text frame should compress");
         };
         assert_eq!(raw_len, body.len() as u64);
-        let env = frame_payload(&out);
+        let env = out.contiguous();
         let (declared, comp) = wire::decode_codec_envelope(&env).expect("envelope parses");
         assert_eq!(declared, raw_len);
         let restored =

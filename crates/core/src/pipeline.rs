@@ -28,12 +28,14 @@
 //! back-pressure, so encode overlaps upload and peak in-flight memory
 //! is `chunk_budget * pipeline_depth` instead of the delta size.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
+use deltacfs_delta::compress::decompress_append;
 use deltacfs_delta::{
     local, record_hierarchy_stats, take_hierarchy_stats, Cost, Delta, DeltaChunk, DeltaOp,
     DeltaParams, HierarchyStats, OP_HEADER_BYTES,
@@ -115,6 +117,21 @@ impl ChunkFrame {
         }
     }
 
+    /// The frame's bytes as one slice: borrowed when the frame is a
+    /// single piece (every compressed envelope is), joined otherwise.
+    pub(crate) fn contiguous(&self) -> Cow<'_, [u8]> {
+        match self.pieces.as_slice() {
+            [one] => Cow::Borrowed(one.as_slice()),
+            pieces => Cow::Owned(
+                pieces
+                    .iter()
+                    .map(FramePiece::as_slice)
+                    .collect::<Vec<_>>()
+                    .concat(),
+            ),
+        }
+    }
+
     /// Bytes carried by shared payload pieces (the zero-copy part).
     pub fn payload_bytes(&self) -> u64 {
         self.pieces
@@ -189,31 +206,23 @@ impl ChunkStager {
                 }
             }
             Codec::Lz77 { raw_len } => {
-                // Inflate the envelope back into the exact message bytes
-                // a raw frame would have carried; `raw_len` caps the
-                // allocation, so a corrupt frame cannot balloon memory.
-                let mut env = Vec::with_capacity(frame.byte_len() as usize);
-                for piece in &frame.pieces {
-                    env.extend_from_slice(piece.as_slice());
-                }
-                let restored = wire::decode_codec_envelope(&env)
+                // Inflate the envelope straight onto the message bytes,
+                // restoring exactly what a raw frame would have carried.
+                // `raw_len` caps the output but is never reserved up
+                // front: it is the sender's claim, so a corrupt frame
+                // cannot balloon memory.
+                let env = frame.contiguous();
+                let inflated = wire::decode_codec_envelope(&env)
                     .ok()
-                    .and_then(|(declared, body)| {
-                        if declared != raw_len {
-                            return None;
-                        }
-                        let out = deltacfs_delta::compress::decompress_limited(
-                            body,
-                            usize::try_from(raw_len).ok()?,
-                        )?;
-                        (out.len() as u64 == raw_len).then_some(out)
+                    .filter(|&(declared, _)| declared == raw_len)
+                    .and_then(|(_, body)| {
+                        let cap = usize::try_from(raw_len).ok()?;
+                        let produced = decompress_append(body, cap, &mut stage.cur)?;
+                        (produced == cap).then_some(())
                     });
-                match restored {
-                    Some(bytes) => stage.cur.extend_from_slice(&bytes),
-                    None => {
-                        self.stages.remove(&frame.group);
-                        return Err(WireError::Malformed("codec frame"));
-                    }
+                if inflated.is_none() {
+                    self.stages.remove(&frame.group);
+                    return Err(WireError::Malformed("codec frame"));
                 }
             }
         }
@@ -1019,6 +1028,107 @@ mod tests {
         }
         assert_eq!(committed, Some(vec![msg]));
         assert_eq!(stager.staged_groups(), 0, "commit must clear the stage");
+    }
+
+    /// A compressible two-message group framed at 1 KiB and run through
+    /// an always-compress codec: every frame is a single-piece envelope.
+    fn compressed_group() -> (Vec<UpdateMsg>, Vec<ChunkFrame>) {
+        use crate::codec::CodecPolicy;
+        use deltacfs_net::{LinkSpec, PlatformProfile};
+        let full = |n: u64| UpdateMsg {
+            path: format!("/f{n}"),
+            base: None,
+            version: Some(ver(n)),
+            payload: UpdatePayload::Full(Payload::from(b"sqlite page ".repeat(300))),
+            txn: Some(1),
+            group: Some(gid()),
+        };
+        let msgs = vec![full(1), full(2)];
+        let mut codec = WireCodec::for_upload(
+            CodecPolicy::Always,
+            PlatformProfile::mobile(),
+            LinkSpec::mobile(),
+        );
+        let mut frames = Vec::new();
+        frame_group(&msgs, 1024, |f| frames.push(codec.encode_frame(f, 0)));
+        assert!(frames.len() > 2);
+        assert!(frames
+            .iter()
+            .all(|f| f.compressed_from().is_some() && f.pieces.len() == 1));
+        (msgs, frames)
+    }
+
+    /// `frame` with its envelope re-declared: `declared` in the envelope
+    /// header, `tag` on the frame, `body` as the token stream.
+    fn reenveloped(frame: &ChunkFrame, declared: u64, tag: u64, body: &[u8]) -> ChunkFrame {
+        let env = wire::encode_codec_envelope(declared, |buf| buf.extend_from_slice(body));
+        ChunkFrame {
+            pieces: vec![FramePiece::Control(Bytes::from(env))],
+            codec: Codec::Lz77 { raw_len: tag },
+            ..frame.clone()
+        }
+    }
+
+    #[test]
+    fn hostile_codec_envelopes_are_malformed_and_drop_the_stage() {
+        let (msgs, frames) = compressed_group();
+        let victim = &frames[1];
+        let Codec::Lz77 { raw_len } = victim.codec else {
+            unreachable!("every frame is compressed");
+        };
+        let env = victim.contiguous();
+        let (_, body) = wire::decode_codec_envelope(&env).expect("real envelope");
+        // A 3-byte body under an astronomic declared size: reserving the
+        // declared size would abort the process, so reaching the
+        // assertion proves the receiver allocated only for the body.
+        let tiny = [0x04, b'a', b'b'];
+        let hostile = [
+            (
+                "2^40 over 3 bytes",
+                reenveloped(victim, 1 << 40, 1 << 40, &tiny),
+            ),
+            (
+                "u64::MAX over 3 bytes",
+                reenveloped(victim, u64::MAX, u64::MAX, &tiny),
+            ),
+            (
+                "inflates to raw_len - 1",
+                reenveloped(victim, raw_len + 1, raw_len + 1, body),
+            ),
+            (
+                "inflates to raw_len + 1",
+                reenveloped(victim, raw_len - 1, raw_len - 1, body),
+            ),
+            (
+                "envelope claims one more",
+                reenveloped(victim, raw_len + 1, raw_len, body),
+            ),
+            (
+                "tag claims one more",
+                reenveloped(victim, raw_len, raw_len + 1, body),
+            ),
+        ];
+        for (what, bad) in hostile {
+            let mut stager = ChunkStager::new();
+            assert_eq!(stager.accept(&frames[0]), Ok(None), "{what}");
+            assert_eq!(
+                stager.accept(&bad),
+                Err(WireError::Malformed("codec frame")),
+                "{what}"
+            );
+            assert_eq!(stager.staged_groups(), 0, "{what}: stage dropped");
+            // The rest of the cut stream is refused, and a whole-group
+            // resend then stages cleanly.
+            assert!(stager.accept(&frames[2]).is_err(), "{what}");
+            let mut committed = None;
+            for f in &frames {
+                if let Some(done) = stager.accept(f).expect("resend stages") {
+                    committed = Some(done);
+                }
+            }
+            assert_eq!(committed.as_ref(), Some(&msgs), "{what}");
+            assert_eq!(stager.staged_groups(), 0, "{what}");
+        }
     }
 
     #[test]

@@ -605,14 +605,16 @@ fn get_uvarint(buf: &[u8]) -> Option<(u64, usize)> {
 /// Builds the compressed-frame envelope:
 /// `CODEC_LZ77 | varint raw_len | compressed bytes`.
 ///
+/// Writes the header, then lets `write_body` append the compressed
+/// bytes straight into the same buffer, so the body is never copied.
 /// The envelope is what crosses the wire for a compressed frame; the
 /// sender only ships it when it is strictly smaller than the raw frame,
 /// so raw traffic is never inflated by the tag.
-pub fn encode_codec_envelope(raw_len: u64, compressed: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(compressed.len() + 11);
+pub fn encode_codec_envelope(raw_len: u64, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(11);
     buf.push(CODEC_LZ77);
     put_uvarint(&mut buf, raw_len);
-    buf.extend_from_slice(compressed);
+    write_body(&mut buf);
     buf
 }
 
@@ -1038,12 +1040,12 @@ mod tests {
     fn codec_envelope_roundtrips() {
         for raw_len in [0u64, 1, 127, 128, 300_000, u64::MAX] {
             let body = b"compressed-bytes";
-            let env = encode_codec_envelope(raw_len, body);
+            let env = encode_codec_envelope(raw_len, |buf| buf.extend_from_slice(body));
             assert_eq!(env[0], CODEC_LZ77);
             assert_eq!(decode_codec_envelope(&env), Ok((raw_len, &body[..])));
         }
         // Empty body is legal at the framing layer.
-        let env = encode_codec_envelope(5, b"");
+        let env = encode_codec_envelope(5, |_| {});
         assert_eq!(decode_codec_envelope(&env), Ok((5, &b""[..])));
     }
 

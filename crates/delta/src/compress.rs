@@ -12,16 +12,85 @@
 //! `v >> 1` bytes that follow, otherwise a back-reference of length
 //! `v >> 1` whose distance follows as a second varint. Matching is lazy
 //! (one-byte lookahead), like zlib's.
+//!
+//! **The format and the parse are frozen.** Every wire byte count,
+//! codec decision and `Cost` figure downstream (the adaptive wire
+//! codec, the Dropbox baseline's traffic, the perfbench counter
+//! baselines) is a function of the exact token stream, so a speed-up
+//! must reproduce it byte for byte: the same 2^15-bucket hash of the
+//! 4-byte word, last-position-wins buckets, a 64 KiB window, insertion
+//! only at the positions the greedy walk visits, and the same one-byte
+//! lazy lookahead. The tests hold a frozen copy of the original
+//! compressor and assert equality against it.
 
 use crate::cost::Cost;
 
 const MIN_MATCH: usize = 4;
 const MAX_DIST: usize = 64 * 1024;
 const HASH_BITS: u32 = 15;
+const TABLE_LEN: usize = 1 << HASH_BITS;
 
-fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(0x9E3779B1) >> (32 - HASH_BITS)) as usize
+/// Table positions are stored biased by this much, so a zeroed entry
+/// always lies more than [`MAX_DIST`] behind any position: an empty
+/// bucket is a miss without a sentinel test.
+const POS_BIAS: u32 = MAX_DIST as u32 + 1;
+
+/// Largest input [`compress`] accepts: every biased position must fit
+/// a `u32`. Callers compress chunk frames (at most `chunk_budget`) and
+/// baseline files (at most 1 GiB), far below this.
+pub const MAX_COMPRESS_INPUT: usize = (u32::MAX - POS_BIAS) as usize;
+
+fn load32(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4-byte window"))
+}
+
+fn load64(data: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(data[i..i + 8].try_into().expect("8-byte window"))
+}
+
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9E3779B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Records position `i` in its bucket and returns the distance back to
+/// the position the bucket held, if that one starts with the same four
+/// bytes and lies within [`MAX_DIST`].
+#[inline(always)]
+fn probe(table: &mut [u64; TABLE_LEN], data: &[u8], i: usize) -> Option<usize> {
+    let word = load32(data, i);
+    let h = hash4(word);
+    let entry = table[h];
+    let here = i as u32 + POS_BIAS;
+    table[h] = (u64::from(word) << 32) | u64::from(here);
+    let dist = here.wrapping_sub(entry as u32) as usize;
+    ((entry >> 32) as u32 == word && dist <= MAX_DIST).then_some(dist)
+}
+
+/// Length of the match between `data[cand..]` and `data[i..]`
+/// (`cand < i`), whose first [`MIN_MATCH`] bytes are known equal:
+/// eight bytes per step, the first differing byte found from the XOR's
+/// trailing zeros, then a byte tail up to the end of `data`.
+fn match_len(data: &[u8], cand: usize, i: usize) -> usize {
+    let n = data.len();
+    let mut len = MIN_MATCH;
+    while i + len + 8 <= n {
+        let diff = load64(data, cand + len) ^ load64(data, i + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while i + len < n && data[cand + len] == data[i + len] {
+        len += 1;
+    }
+    len
+}
+
+fn put_literals(out: &mut Vec<u8>, literals: &[u8]) {
+    if !literals.is_empty() {
+        put_varint(out, (literals.len() as u64) << 1);
+        out.extend_from_slice(literals);
+    }
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -62,65 +131,70 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
 ///
 /// The output is only readable by [`decompress`]; it is a traffic model,
 /// not an interchange format.
+///
+/// # Panics
+///
+/// If `data` is longer than [`MAX_COMPRESS_INPUT`].
 pub fn compress(data: &[u8], cost: &mut Cost) -> Vec<u8> {
+    let mut out = Vec::new();
+    compress_into(data, cost, &mut out);
+    out
+}
+
+/// [`compress`], appending the token stream to `out` instead of
+/// returning a fresh buffer — lets the wire codec write its envelope
+/// header and the compressed body into one allocation.
+///
+/// # Panics
+///
+/// If `data` is longer than [`MAX_COMPRESS_INPUT`].
+pub fn compress_into(data: &[u8], cost: &mut Cost, out: &mut Vec<u8>) {
+    assert!(
+        data.len() <= MAX_COMPRESS_INPUT,
+        "compress input of {} bytes exceeds the {MAX_COMPRESS_INPUT}-byte position range",
+        data.len()
+    );
     cost.bytes_compressed += data.len() as u64;
     cost.ops += 1;
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    out.reserve(data.len() / 2 + 16);
+    // Each bucket packs `word << 32 | (pos + POS_BIAS)`: the candidate's
+    // first four bytes ride along, so a miss costs one random access and
+    // never touches `data` at the candidate.
+    let mut buckets = vec![0u64; TABLE_LEN];
+    let table: &mut [u64; TABLE_LEN] = buckets
+        .as_mut_slice()
+        .try_into()
+        .expect("table has TABLE_LEN buckets");
+    let n = data.len();
     let mut literal_start = 0usize;
     let mut i = 0usize;
-
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
-        if to > from {
-            put_varint(out, ((to - from) as u64) << 1);
-            out.extend_from_slice(&data[from..to]);
-        }
-    };
-
-    // Finds the best match at `i` and records `i` in the hash table.
-    let find = |table: &mut [usize], i: usize| -> Option<(usize, usize)> {
-        if i + MIN_MATCH > data.len() {
-            return None;
-        }
-        let h = hash4(data, i);
-        let candidate = table[h];
-        table[h] = i;
-        if candidate == usize::MAX
-            || i - candidate > MAX_DIST
-            || data[candidate..candidate + MIN_MATCH] != data[i..i + MIN_MATCH]
-        {
-            return None;
-        }
-        let mut len = MIN_MATCH;
-        while i + len < data.len() && data[candidate + len] == data[i + len] {
-            len += 1;
-        }
-        Some((len, i - candidate))
-    };
-
-    while i + MIN_MATCH <= data.len() {
-        match find(&mut table, i) {
-            Some((mut len, mut dist)) => {
-                // Lazy evaluation: a longer match starting one byte later
-                // wins; the current byte joins the literal run.
-                if let Some((len2, dist2)) = find(&mut table, i + 1) {
-                    if len2 > len + 1 {
-                        i += 1;
-                        len = len2;
-                        dist = dist2;
-                    }
+    while i + MIN_MATCH <= n {
+        let Some(mut dist) = probe(table, data, i) else {
+            i += 1;
+            continue;
+        };
+        let mut len = match_len(data, i - dist, i);
+        // Lazy evaluation: a longer match starting one byte later wins;
+        // the current byte joins the literal run. The probe at `i + 1`
+        // records that position whether or not its match is taken.
+        let next = i + 1;
+        if next + MIN_MATCH <= n {
+            if let Some(dist2) = probe(table, data, next) {
+                let len2 = match_len(data, next - dist2, next);
+                if len2 > len + 1 {
+                    i = next;
+                    len = len2;
+                    dist = dist2;
                 }
-                flush_literals(&mut out, literal_start, i);
-                put_varint(&mut out, ((len as u64) << 1) | 1);
-                put_varint(&mut out, dist as u64);
-                i += len;
-                literal_start = i;
             }
-            None => i += 1,
         }
+        put_literals(out, &data[literal_start..i]);
+        put_varint(out, ((len as u64) << 1) | 1);
+        put_varint(out, dist as u64);
+        i += len;
+        literal_start = i;
     }
-    flush_literals(&mut out, literal_start, data.len());
-    out
+    put_literals(out, &data[literal_start..]);
 }
 
 /// Hard ceiling on [`decompress`]'s output. A malformed token stream can
@@ -148,12 +222,37 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
 /// frame whose token stream tries to inflate past the declared size is
 /// rejected as malformed instead of ballooning memory.
 pub fn decompress_limited(data: &[u8], max_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len().min(max_len).saturating_mul(2).min(max_len));
+    let mut out = Vec::new();
+    decompress_append(data, max_len, &mut out)?;
+    Some(out)
+}
+
+/// Decompresses a buffer produced by [`compress`] onto the end of
+/// `out`, producing at most `max_len` bytes; returns how many it
+/// produced.
+///
+/// Back-references reach only bytes produced by this call, never the
+/// bytes `out` held before it. Capacity is reserved in proportion to
+/// `data` (at most `max_len`), never to `max_len` alone, so an
+/// untrusted cap cannot force an allocation. On malformed input
+/// returns `None` and truncates `out` back to its length on entry.
+pub fn decompress_append(data: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<usize> {
+    let start = out.len();
+    out.reserve(data.len().min(max_len).saturating_mul(2).min(max_len));
+    let produced = inflate(data, max_len, out, start);
+    if produced.is_none() {
+        out.truncate(start);
+    }
+    produced
+}
+
+fn inflate(data: &[u8], max_len: usize, out: &mut Vec<u8>, start: usize) -> Option<usize> {
     let mut pos = 0usize;
     while pos < data.len() {
         let token = get_varint(data, &mut pos)?;
         let len = usize::try_from(token >> 1).ok()?;
-        if out.len().checked_add(len)? > max_len {
+        let produced = out.len() - start;
+        if produced.checked_add(len)? > max_len {
             return None;
         }
         if token & 1 == 0 {
@@ -165,18 +264,24 @@ pub fn decompress_limited(data: &[u8], max_len: usize) -> Option<Vec<u8>> {
             pos = end;
         } else {
             let dist = usize::try_from(get_varint(data, &mut pos)?).ok()?;
-            if dist == 0 || dist > out.len() {
+            if dist == 0 || dist > produced {
                 return None;
             }
-            let start = out.len() - dist;
             // Overlapping copies are valid LZ77 (run-length encoding).
-            for k in 0..len {
-                let byte = out[start + k];
-                out.push(byte);
+            // The output is periodic with period `dist` from `src` on,
+            // so each round re-copies everything from `src` to the
+            // current end — a whole number of periods — doubling the
+            // run until `len` bytes are out.
+            let src = out.len() - dist;
+            let mut left = len;
+            while left > 0 {
+                let round = left.min(out.len() - src);
+                out.extend_from_within(src..src + round);
+                left -= round;
             }
         }
     }
-    Some(out)
+    Some(out.len() - start)
 }
 
 /// Compresses and reports only the resulting size; convenience for traffic
@@ -238,6 +343,267 @@ pub fn probe_ratio_sampled(len: usize, byte_at: impl Fn(usize) -> u8) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The compressor as first written (byte-at-a-time extension, one
+    /// closure call per probe), frozen verbatim. The production
+    /// compressor must reproduce its output byte for byte.
+    mod reference {
+        use crate::cost::Cost;
+
+        const MIN_MATCH: usize = 4;
+        const MAX_DIST: usize = 64 * 1024;
+        const HASH_BITS: u32 = 15;
+
+        fn hash4(data: &[u8], i: usize) -> usize {
+            let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+            (v.wrapping_mul(0x9E3779B1) >> (32 - HASH_BITS)) as usize
+        }
+
+        fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+            loop {
+                let byte = (v & 0x7f) as u8;
+                v >>= 7;
+                if v == 0 {
+                    out.push(byte);
+                    break;
+                }
+                out.push(byte | 0x80);
+            }
+        }
+
+        /// Compresses `data`, charging one pass over it to `cost.bytes_compressed`.
+        ///
+        /// The output is only readable by [`decompress`]; it is a traffic model,
+        /// not an interchange format.
+        pub fn compress(data: &[u8], cost: &mut Cost) -> Vec<u8> {
+            cost.bytes_compressed += data.len() as u64;
+            cost.ops += 1;
+            let mut out = Vec::with_capacity(data.len() / 2 + 16);
+            let mut table = vec![usize::MAX; 1 << HASH_BITS];
+            let mut literal_start = 0usize;
+            let mut i = 0usize;
+
+            let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
+                if to > from {
+                    put_varint(out, ((to - from) as u64) << 1);
+                    out.extend_from_slice(&data[from..to]);
+                }
+            };
+
+            // Finds the best match at `i` and records `i` in the hash table.
+            let find = |table: &mut [usize], i: usize| -> Option<(usize, usize)> {
+                if i + MIN_MATCH > data.len() {
+                    return None;
+                }
+                let h = hash4(data, i);
+                let candidate = table[h];
+                table[h] = i;
+                if candidate == usize::MAX
+                    || i - candidate > MAX_DIST
+                    || data[candidate..candidate + MIN_MATCH] != data[i..i + MIN_MATCH]
+                {
+                    return None;
+                }
+                let mut len = MIN_MATCH;
+                while i + len < data.len() && data[candidate + len] == data[i + len] {
+                    len += 1;
+                }
+                Some((len, i - candidate))
+            };
+
+            while i + MIN_MATCH <= data.len() {
+                match find(&mut table, i) {
+                    Some((mut len, mut dist)) => {
+                        // Lazy evaluation: a longer match starting one byte later
+                        // wins; the current byte joins the literal run.
+                        if let Some((len2, dist2)) = find(&mut table, i + 1) {
+                            if len2 > len + 1 {
+                                i += 1;
+                                len = len2;
+                                dist = dist2;
+                            }
+                        }
+                        flush_literals(&mut out, literal_start, i);
+                        put_varint(&mut out, ((len as u64) << 1) | 1);
+                        put_varint(&mut out, dist as u64);
+                        i += len;
+                        literal_start = i;
+                    }
+                    None => i += 1,
+                }
+            }
+            flush_literals(&mut out, literal_start, data.len());
+            out
+        }
+    }
+
+    /// Deterministic test content: runs of word text, noise,
+    /// single-byte runs, and copies of earlier content from distances
+    /// both inside and beyond the 64 KiB window.
+    fn corpus(seed: u64, len: usize) -> Vec<u8> {
+        const WORDS: [&[u8]; 8] = [
+            b"sync ", b"delta ", b"cloud ", b"page ", b"the ", b"write ", b"file ", b"nfs ",
+        ];
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let r = next();
+            let run = 1 + (r >> 8) as usize % 4096;
+            match r % 5 {
+                0 | 4 => {
+                    let end = out.len() + run;
+                    while out.len() < end {
+                        out.extend_from_slice(WORDS[next() as usize % WORDS.len()]);
+                    }
+                }
+                1 => out.extend((0..run).map(|_| next() as u8)),
+                2 => out.resize(out.len() + run * 4, (r >> 40) as u8),
+                _ if !out.is_empty() => {
+                    let dist = 1 + (next() as usize) % out.len().min(3 * MAX_DIST);
+                    let from = out.len() - dist;
+                    for k in 0..run {
+                        out.push(out[from + k]);
+                    }
+                }
+                _ => out.push(r as u8),
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// Asserts the identity contract on one input: the same bytes and
+    /// the same `Cost` charge as the frozen reference, and an exact
+    /// round trip under the tightest cap.
+    fn assert_identical(data: &[u8]) {
+        let mut cost = Cost::new();
+        let mut ref_cost = Cost::new();
+        let out = compress(data, &mut cost);
+        let expected = reference::compress(data, &mut ref_cost);
+        assert!(
+            out == expected,
+            "compress diverges from the reference on {} bytes",
+            data.len()
+        );
+        assert_eq!(cost, ref_cost);
+        assert_eq!(decompress_limited(&out, data.len()).as_deref(), Some(data));
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn every_two_letter_input_up_to_eight_bytes_matches_the_reference() {
+        for len in 0..=8usize {
+            for bits in 0..1u32 << len {
+                let data: Vec<u8> = (0..len).map(|k| b'a' + (bits >> k & 1) as u8).collect();
+                assert_identical(&data);
+            }
+        }
+    }
+
+    #[test]
+    fn window_edge_candidates_match_the_reference() {
+        // A 4 KiB noise block repeated at exactly the window distance
+        // and one byte either side of it: the distance check decides.
+        let block = corpus(3, 4096).iter().map(|b| b ^ 0x5a).collect::<Vec<_>>();
+        for gap in [MAX_DIST - 1, MAX_DIST, MAX_DIST + 1] {
+            let mut data = block.clone();
+            data.extend((0..gap - block.len()).map(|k| (k * 131 % 251) as u8));
+            data.extend_from_slice(&block);
+            assert_identical(&data);
+        }
+    }
+
+    #[test]
+    fn lazy_candidate_at_the_window_edge_matches_the_reference() {
+        // At `p` a 4-byte match 99 back; at `p + 1` a 64-byte match
+        // exactly `MAX_DIST` back, which the lookahead must still take.
+        let block: Vec<u8> = corpus(5, 64).iter().map(|b| b ^ 0xa5).collect();
+        let p = MAX_DIST - 1;
+        let mut data = block.clone();
+        data.resize(p, 0);
+        data[p - 99..p - 94].copy_from_slice(&[0x7e, block[0], block[1], block[2], !block[3]]);
+        data.push(0x7e);
+        data.extend_from_slice(&block);
+        assert_identical(&data);
+    }
+
+    #[test]
+    fn golden_digest_of_a_one_mib_corpus() {
+        let data = corpus(2017, 1 << 20);
+        let mut cost = Cost::new();
+        let out = compress(&data, &mut cost);
+        assert_eq!((out.len(), fnv1a(&out)), GOLDEN);
+        assert_identical(&data);
+        // One pass charged, one op, nothing else.
+        let mut expected = Cost::new();
+        expected.bytes_compressed = 1 << 20;
+        expected.ops = 1;
+        assert_eq!(cost, expected);
+    }
+
+    /// Compressed length and FNV-1a digest of `compress(corpus(2017,
+    /// 1 MiB))`, recorded from the reference compressor.
+    const GOLDEN: (usize, u64) = (268_196, 0x42D7_DC3F_5E16_3767);
+
+    #[test]
+    fn decompress_append_keeps_the_prefix_and_its_own_window() {
+        let data = b"abcabcabcabcabcabc".repeat(40);
+        let compressed = compress(&data, &mut Cost::new());
+        let mut out = b"prefix".to_vec();
+        assert_eq!(
+            decompress_append(&compressed, data.len(), &mut out),
+            Some(data.len())
+        );
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &data[..]);
+        // A back-reference into the caller's prefix is malformed, and a
+        // failed call leaves `out` as it found it.
+        let mut out = b"prefix".to_vec();
+        assert_eq!(decompress_append(&[0x09, 0x03], 64, &mut out), None);
+        assert_eq!(out, b"prefix");
+        let mut out = b"prefix".to_vec();
+        assert_eq!(
+            decompress_append(&compressed, data.len() - 1, &mut out),
+            None
+        );
+        assert_eq!(out, b"prefix");
+    }
+
+    #[test]
+    fn overlapping_match_copies_every_period_length() {
+        // Seed `dist` bytes, then one back-reference of `len` at `dist`:
+        // the round-based copy must equal the byte-at-a-time definition.
+        for dist in 1..=9usize {
+            for len in 0..=40usize {
+                let seed: Vec<u8> = (0..dist as u8).map(|k| b'A' + k).collect();
+                let mut stream = Vec::new();
+                put_varint(&mut stream, (dist as u64) << 1);
+                stream.extend_from_slice(&seed);
+                put_varint(&mut stream, ((len as u64) << 1) | 1);
+                put_varint(&mut stream, dist as u64);
+                let mut expected = seed.clone();
+                for k in 0..len {
+                    expected.push(expected[k]);
+                }
+                assert_eq!(decompress(&stream), Some(expected), "dist {dist} len {len}");
+            }
+        }
+    }
 
     fn roundtrip(data: &[u8]) -> Vec<u8> {
         let compressed = compress(data, &mut Cost::new());
@@ -407,6 +773,7 @@ mod tests {
 
     mod prop {
         use super::super::*;
+        use super::corpus;
         use proptest::prelude::*;
 
         proptest! {
@@ -422,6 +789,42 @@ mod tests {
                 if let Some(out) = decompress_limited(&data, cap) {
                     prop_assert!(out.len() <= cap);
                 }
+            }
+
+            // The identity contract: the production compressor emits the
+            // reference's bytes and charges the same cost, on tiny
+            // inputs, mixed text/noise, long runs, inputs past the
+            // window, matches ending at the buffer's last byte, and
+            // full 256 KiB frames.
+            #[test]
+            fn compress_matches_the_frozen_reference(
+                seed in any::<u64>(),
+                shape in 0usize..6,
+                size in 0usize..1 << 16,
+            ) {
+                let data = match shape {
+                    0 => corpus(seed, size % 9),
+                    1 => corpus(seed, size % (16 << 10)),
+                    2 => {
+                        let mut d = corpus(seed, 64);
+                        d.resize(64 + size * 2, seed as u8);
+                        d.extend_from_slice(&corpus(seed ^ 1, 64));
+                        d.resize(d.len() + size % 4099, (seed >> 8) as u8);
+                        d
+                    }
+                    3 => corpus(seed, MAX_DIST + 1 + size * 2),
+                    4 => {
+                        // A tail that repeats earlier bytes up to the very
+                        // end, at every length mod 8.
+                        let mut d = corpus(seed, 512 + size % 4096);
+                        let tail = MIN_MATCH + size % 61;
+                        let from = (seed as usize) % (d.len() - tail);
+                        d.extend_from_within(from..from + tail);
+                        d
+                    }
+                    _ => corpus(seed, 256 << 10),
+                };
+                super::assert_identical(&data);
             }
 
             // Real compressor output always round-trips exactly, and the
